@@ -7,9 +7,10 @@ derive_seed(B, "truth"); trial i uses design seed derive_seed(B, "design", i)
 derive_seed(B, "noise", i, rho).  Reports are therefore byte-identical
 across reruns except for wall-time fields.
 
-Decode failures (infeasible models under mismatch) are recorded with the
-fp_rate = fn_rate = 1.0 convention and flagged in the trial dump; they are
-never silently dropped.
+Decode failures (any solver status other than optimal: infeasible models
+under mismatch, or a node limit hit even when it left an incumbent) are
+recorded with the fp_rate = fn_rate = 1.0 convention, flagged in the trial
+dump and counted in the row's failures; they are never silently dropped.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def run_experiment(config: ExperimentConfig,
                     y = run_tests(design, truth, noise,
                                   derive_seed(config.base_seed, "noise", trial, rho))
                     result = decode(spec, design, y)
-                    if result.failed:
+                    if result.solver_status != "optimal":
                         records.append(TrialRecord(
                             t, rho, dec.family, dec.relaxed, trial,
                             fp=0, fn=0, fp_rate=1.0, fn_rate=1.0,

@@ -7,10 +7,15 @@ optional 0/1 integrality marks.
 
 Implementation notes and defaults:
 
-* Dense two-phase tableau simplex over shifted variables (x - lo), with
+* Two-phase tableau simplex over shifted variables (x - lo), with
   nonbasic variables resting at either bound.  Dantzig pricing switches to
   Bland's rule after 10 * (rows + cols) iterations so degenerate models
   (decoder LPs have many identical rows) still terminate.
+* The dense tableau is stored transposed (one contiguous array per column),
+  and each pivot applies its rank-1 update only to the columns where the
+  pivot row is nonzero.  Decoder pivot rows are mostly zero, and a skipped
+  column would only have had +-0 subtracted, so the pivot sequence and
+  every returned ``x`` are those of the full dense update.
 * Branch-and-bound branches on the integer variable whose fractional part is
   closest to 0.5, explores depth-first, and orders the two children so the
   branch nearest the parent LP value is taken first.
@@ -108,24 +113,26 @@ class MilpSolution:
     nodes_explored: int = 0
 
 
-def feasibility_violation(model: MilpModel, x: np.ndarray) -> float:
-    """Largest scaled constraint/bound violation of ``x`` (0 when feasible)."""
+def feasibility_violation(model: MilpModel,
+                          x: np.ndarray) -> float | np.ndarray:
+    """Largest scaled constraint/bound violation of ``x`` (0 when feasible).
+
+    Row ``i`` contributes its violation divided by ``1 + |rhs_i|``.  ``x`` is
+    one point of length ``num_vars`` (returns a float) or an ``(N,
+    num_vars)`` batch (returns one violation per point).
+    """
     x = np.asarray(x, dtype=float)
-    worst = 0.0
-    worst = max(worst, float(np.max(model.lower - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - model.upper, initial=0.0)))
+    worst = np.maximum(np.max(model.lower - x, axis=-1, initial=0.0),
+                       np.max(x - model.upper, axis=-1, initial=0.0))
     if model.num_rows:
-        ax = model.a_matrix @ x
-        for i, r in enumerate(model.relations):
-            scale = 1.0 + abs(model.rhs[i])
-            if r == "<=":
-                v = ax[i] - model.rhs[i]
-            elif r == ">=":
-                v = model.rhs[i] - ax[i]
-            else:
-                v = abs(ax[i] - model.rhs[i])
-            worst = max(worst, float(v) / scale)
-    return worst
+        ax = model.a_matrix @ x if x.ndim == 1 else x @ model.a_matrix.T
+        rel = np.asarray(model.relations)
+        b = model.rhs
+        v = np.where(rel == "<=", ax - b,
+                     np.where(rel == ">=", b - ax, np.abs(ax - b)))
+        worst = np.maximum(worst, np.max(v / (1.0 + np.abs(b)), axis=-1,
+                                         initial=0.0))
+    return float(worst) if x.ndim == 1 else worst
 
 
 def dump_model(model: MilpModel) -> str:
@@ -185,27 +192,29 @@ def _simplex(c, a, rel, b, lo, hi, feas_tol):
     n_slack = sum(1 for r in senses if r != "==")
     n_art = sum(1 for r in senses if r != "<=")
     total = n + n_slack + n_art
-    tab = np.zeros((m, total))
+    # Transposed tableau: tab_t[j, i] is row i, column j, so each column
+    # (the entering one, or one the pivot row touches) is contiguous.
+    tab_t = np.zeros((total, m))
     if m:
-        tab[:, :n] = np.vstack(rows)
+        tab_t[:n] = np.vstack(rows).T
     col_ub = np.concatenate([ub, np.full(n_slack + n_art, np.inf)])
     is_art = np.zeros(total, dtype=bool)
     basis = np.empty(m, dtype=np.intp)
     s_at, a_at = n, n + n_slack
     for i, r in enumerate(senses):
         if r == "<=":
-            tab[i, s_at] = 1.0
+            tab_t[s_at, i] = 1.0
             basis[i] = s_at
             s_at += 1
         elif r == ">=":
-            tab[i, s_at] = -1.0
+            tab_t[s_at, i] = -1.0
             s_at += 1
-            tab[i, a_at] = 1.0
+            tab_t[a_at, i] = 1.0
             is_art[a_at] = True
             basis[i] = a_at
             a_at += 1
         else:
-            tab[i, a_at] = 1.0
+            tab_t[a_at, i] = 1.0
             is_art[a_at] = True
             basis[i] = a_at
             a_at += 1
@@ -221,7 +230,9 @@ def _simplex(c, a, rel, b, lo, hi, feas_tol):
     z1 = np.zeros(total)
     art_rows = [i for i in range(m) if is_art[basis[i]]]
     if art_rows:
-        z1 -= tab[art_rows].sum(axis=0)
+        # Row-major copy, so the sum runs in the same order as on the
+        # untransposed tableau.
+        z1 -= np.ascontiguousarray(tab_t[:, art_rows].T).sum(axis=0)
         z1[is_art] = 0.0
 
     tol_d = 1e-9
@@ -254,7 +265,7 @@ def _simplex(c, a, rel, b, lo, hi, feas_tol):
                 viol = np.where(cand_low, -z, 0.0) + np.where(cand_up, z, 0.0)
                 e = int(np.argmax(viol))
             sigma = -1.0 if at_upper[e] else 1.0
-            col = tab[:, e]
+            col = tab_t[e]
             move = sigma * col
             # Ratio test: basic vars blocked at either bound, or the entering
             # variable flips to its opposite bound.
@@ -285,21 +296,25 @@ def _simplex(c, a, rel, b, lo, hi, feas_tol):
                 r = int(tie[np.argmin(basis[tie])])
             else:
                 r = int(tie[np.argmax(np.abs(col[tie]))])
-            piv = tab[r, e]
+            piv = tab_t[e, r]
             if abs(piv) < tol_piv:
                 raise NumericalError("pivot element vanished")
             leaving = basis[r]
             x_b -= move * delta
             at_upper[leaving] = move[r] < 0  # blocked at upper bound
             enter_val = (col_ub[e] - delta) if at_upper[e] else delta
-            tab[r] /= piv
-            factors = tab[:, e].copy()
+            prow = tab_t[:, r]
+            prow /= piv
+            factors = tab_t[e].copy()
             factors[r] = 0.0
-            tab[:] -= np.outer(factors, tab[r])
+            # Rank-1 update restricted to the pivot row's nonzero columns:
+            # every other column would have +-0 subtracted.
+            cols = prow.nonzero()[0]
+            tab_t[cols] -= np.multiply.outer(prow[cols], factors)
             for zz in (z1, z2):
                 f = zz[e]
                 if f:
-                    zz -= f * tab[r]
+                    zz -= f * prow
             in_basis[leaving] = False
             in_basis[e] = True
             at_upper[e] = False

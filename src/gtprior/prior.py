@@ -173,7 +173,10 @@ def gibbs_sample(prior: IsingPrior, sweeps: int, seed: int) -> DefectivityVector
         for j in range(n):
             h = float(nbr_lam[j] @ s[nbr_idx[j]]) - phi[j] if len(nbr_idx[j]) \
                 else -phi[j]
-            p1 = 1.0 / (1.0 + math.exp(-2.0 * h))
+            try:
+                p1 = 1.0 / (1.0 + math.exp(-2.0 * h))
+            except OverflowError:  # h < ~-355: exactly IEEE 1 / (1 + inf)
+                p1 = 0.0
             assert 0.0 <= p1 <= 1.0  # conditional probabilities sum to 1
             s[j] = 1.0 if draws[j] < p1 else -1.0
     return DefectivityVector.from_array(((s > 0).astype(int)))

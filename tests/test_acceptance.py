@@ -223,13 +223,9 @@ def test_criterion_9_solver_soundness():
         b = (a @ xr + rng.integers(-2, 3, m)).astype(float) if m else np.zeros(0)
         model = MilpModel(c, np.zeros(n), np.ones(n), a, rel, b,
                           np.ones(n, dtype=bool))
-        best = None
-        for bits in itertools.product((0.0, 1.0), repeat=n):
-            x = np.array(bits)
-            if feasibility_violation(model, x) <= 1e-9:
-                v = float(c @ x)
-                if best is None or v < best:
-                    best = v
+        points = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+        feasible = points[feasibility_violation(model, points) <= 1e-9]
+        best = float((feasible @ c).min()) if len(feasible) else None
         sol = solve_ilp(model)
         if best is None:
             ok &= sol.status == "infeasible"

@@ -45,6 +45,13 @@ class TestSamplePriorCommand:
         obj = json.loads(out)
         assert len(obj["bits"]) == 9 and set(obj["bits"]) <= {"0", "1"}
 
+    def test_extreme_field(self, capsys):
+        code, out, _ = run(capsys, "--seed", "1", "sample-prior", "--grid", "3",
+                           "3", "--lam", "0.1", "--phi", "400",
+                           "--sweeps", "10")
+        assert code == 0
+        assert json.loads(out)["bits"] == "0" * 9
+
     def test_missing_graph_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "sample-prior", "--lam", "1", "--phi", "1")
         assert code == 1

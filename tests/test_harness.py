@@ -88,6 +88,22 @@ class TestRunExperiment:
         fn = {row.decoder: row.fn_rate for row in report.rows}
         assert fn["ising_map"] <= fn["sparsity"] + 1e-12
 
+    def test_node_limit_incumbent_is_a_failure(self, monkeypatch):
+        from gtprior import harness
+        from gtprior.core import DefectivityVector
+        from gtprior.decoders import DecodeResult
+
+        def capped(spec, design, y):
+            estimate = DefectivityVector((0,) * design.n)
+            return DecodeResult(estimate, 0.0, "node_limit", 7, 0.0, spec)
+
+        monkeypatch.setattr(harness, "decode", capped)
+        report = run_experiment(small_config(trials=2))
+        assert all(r.status == "failed:node_limit"
+                   for r in report.trial_records)
+        assert all(r.fp_rate == r.fn_rate == 1.0 for r in report.trial_records)
+        assert all(row.failures == row.trials == 2 for row in report.rows)
+
     def test_zero_defective_truth_needs_explicit_p(self):
         config = small_config(phi=8.0, base_seed=1)  # heavily sparse prior
         if sample_truth(config).k == 0:

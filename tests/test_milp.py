@@ -32,17 +32,40 @@ def random_model(rng, n_max=16, integer=True):
     return model(c, a, rel, b, integer=integer)
 
 
+def highs(m, integer=False):
+    """(scipy status, objective incl. constant) of ``m`` under HiGHS:
+    ``linprog`` for the relaxation, ``milp`` when ``integer``."""
+    opt = pytest.importorskip("scipy.optimize")
+    rel = np.array(m.relations)
+    a, b = m.a_matrix, m.rhs
+    if integer:
+        lb = np.where(rel == "<=", -np.inf, b)
+        ub = np.where(rel == ">=", np.inf, b)
+        res = opt.milp(m.objective, integrality=m.integer_mask.astype(int),
+                       bounds=opt.Bounds(m.lower, m.upper),
+                       constraints=opt.LinearConstraint(a, lb, ub),
+                       options={"mip_rel_gap": 0.0})
+    else:
+        le, ge, eq = rel == "<=", rel == ">=", rel == "=="
+        a_ub = np.vstack([a[le], -a[ge]])
+        b_ub = np.concatenate([b[le], -b[ge]])
+        res = opt.linprog(m.objective, A_ub=a_ub if a_ub.size else None,
+                          b_ub=b_ub if a_ub.size else None,
+                          A_eq=a[eq] if eq.any() else None,
+                          b_eq=b[eq] if eq.any() else None,
+                          bounds=np.column_stack([m.lower, m.upper]),
+                          method="highs")
+    fun = None if res.status else float(res.fun) + m.objective_constant
+    return res.status, fun
+
+
 def enumerate_optimum(m):
     """Brute-force 0/1 optimum; None when infeasible."""
-    n = m.num_vars
-    best = None
-    for bits in itertools.product((0.0, 1.0), repeat=n):
-        x = np.array(bits)
-        if feasibility_violation(m, x) <= 1e-9:
-            v = float(m.objective @ x) + m.objective_constant
-            if best is None or v < best:
-                best = v
-    return best
+    points = np.array(list(itertools.product((0.0, 1.0), repeat=m.num_vars)))
+    feasible = points[feasibility_violation(m, points) <= 1e-9]
+    if not len(feasible):
+        return None
+    return float((feasible @ m.objective).min()) + m.objective_constant
 
 
 class TestSolveLp:
@@ -144,30 +167,70 @@ class TestSolveIlp:
                 assert abs(base.objective_value - other.objective_value) <= 1e-8
 
     def test_scipy_cross_check(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(103)
         for _ in range(60):
             m = random_model(rng, n_max=12, integer=False)
-            a_ub, b_ub, a_eq, b_eq = [], [], [], []
-            for i, r in enumerate(m.relations):
-                if r == "<=":
-                    a_ub.append(m.a_matrix[i]); b_ub.append(m.rhs[i])
-                elif r == ">=":
-                    a_ub.append(-m.a_matrix[i]); b_ub.append(-m.rhs[i])
-                else:
-                    a_eq.append(m.a_matrix[i]); b_eq.append(m.rhs[i])
-            res = linprog(m.objective,
-                          A_ub=np.array(a_ub) if a_ub else None,
-                          b_ub=np.array(b_ub) if b_ub else None,
-                          A_eq=np.array(a_eq) if a_eq else None,
-                          b_eq=np.array(b_eq) if b_eq else None,
-                          bounds=list(zip(m.lower, m.upper)), method="highs")
+            status, fun = highs(m)
             mine = solve_lp(m)
-            if res.status == 0:
+            if status == 0:
                 assert mine.status == "optimal"
-                assert mine.objective_value == pytest.approx(res.fun, abs=1e-7)
-            elif res.status == 2:
+                assert mine.objective_value == pytest.approx(fun, abs=1e-7)
+            elif status == 2:
                 assert mine.status == "infeasible"
+
+
+class TestKernelDifferential:
+    """The pivot kernel against HiGHS on dense, general-bound LPs and on a
+    real decoder ILP whose branch-and-bound search is pinned."""
+
+    def test_dense_general_bound_lps_match_highs(self):
+        rng = np.random.default_rng(104)
+        seen = set()
+        for trial in range(200):
+            n = int(rng.integers(1, 13))
+            m = int(rng.integers(0, 11))
+            a = rng.normal(size=(m, n))
+            if trial % 2:  # sparse integer rows, keeping some fully dense
+                a = np.where(rng.random((m, n)) < 0.5, 0.0,
+                             rng.integers(-5, 6, (m, n)))
+                a[rng.random(m) < 0.3] = rng.integers(1, 6, n)
+            lo = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+            hi = lo + rng.uniform(0.0, 3.0, n)
+            rel = [("<=", "==", ">=")[i] for i in rng.integers(0, 3, m)]
+            shift = np.where(rng.random(m) < 0.5, 0.0, rng.normal(size=m))
+            b = a @ rng.uniform(lo, hi) + shift
+            mdl = model(rng.normal(size=n), a, rel, b, lo=lo, hi=hi)
+            status, fun = highs(mdl)
+            mine = solve_lp(mdl)
+            assert status in (0, 2)
+            assert mine.status == ("optimal" if status == 0 else "infeasible")
+            if status == 0:
+                assert abs(mine.objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
+                assert (mine.x >= lo).all() and (mine.x <= hi).all()
+            seen.add(mine.status)
+        assert seen == {"optimal", "infeasible"}
+
+    def test_ci_grid_ising_map_search_is_pinned(self):
+        from gtprior.decoders import DecoderSpec, build_model
+        from gtprior.harness import PRESETS, ExperimentConfig, sample_truth
+        from gtprior.prior import IsingPrior
+        from gtprior.rng import derive_seed
+        from gtprior.testing import NoiseSpec, bernoulli_design, run_tests
+
+        config = ExperimentConfig.from_dict(PRESETS["ci-grid-10"])  # seed 5
+        graph = config.graph.build(config.base_seed)
+        truth = sample_truth(config, graph)
+        design = bernoulli_design(60, truth.n, np.log(2.0) / truth.k,
+                                  derive_seed(config.base_seed, "design", 1))
+        y = run_tests(design, truth, NoiseSpec(),
+                      derive_seed(config.base_seed, "noise", 1, 0.0))
+        prior = IsingPrior.uniform(graph, config.lam, config.phi)
+        mdl = build_model(DecoderSpec("ising_map", prior=prior), design, y)
+        sol = solve_ilp(mdl)
+        assert sol.status == "optimal" and sol.nodes_explored == 13
+        status, fun = highs(mdl, integer=True)
+        assert status == 0
+        assert abs(sol.objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
 
 
 class TestModelValidation:

@@ -127,6 +127,12 @@ class TestGibbs:
         exact = exact_marginals(prior)
         assert np.abs(est - exact).max() < 0.02
 
+    def test_extreme_field_does_not_overflow(self):
+        # |h| ~ 400 overflows math.exp; the conditional is then exactly 0.
+        prior = IsingPrior.uniform(build_grid(3, 3), 0.1, 400.0)
+        u = gibbs_sample(prior, 10, 1)
+        assert u.n == 9 and u.k == 0
+
     def test_sweeps_validation(self):
         prior = IsingPrior.uniform(ItemGraph(2, ()), 0.0, 0.0)
         with pytest.raises(ValueError):
