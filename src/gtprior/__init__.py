@@ -10,8 +10,8 @@ from .core import (DefectiveSet, DefectivityVector, ErrorReport,
                    approx_distance, count_fp_fn)
 from .decoders import (CandidateFamily, DecodeResult, DecoderSpec,
                        brute_force_map, build_ising_linearized_model,
-                       build_sparsity_model, decode, info_density, map_score,
-                       threshold_decode)
+                       build_sparsity_model, decode, decoder_spec,
+                       info_density, map_score, threshold_decode)
 from .milp import (MilpModel, MilpSolution, NumericalError, dump_model,
                    feasibility_violation, solve_ilp, solve_lp)
 from .prior import (IsingPrior, ItemGraph, build_block, build_grid,

@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
 from . import bounds as bounds_mod
-from .decoders import DecoderSpec, decode
+from .decoders import decode, decoder_spec
 from .harness import (PRESETS, ExperimentConfig, blocks_csv, blocks_json, emit,
                       run_experiment, run_graph_mismatch, run_lambda_mismatch)
 from .milp import NumericalError
 from .prior import (IsingPrior, build_block, build_grid, gibbs_sample,
                     load_edge_list, subsample_vertices)
 from .rng import RNG_ID
-from .testing import (NoiseSpec, OutcomeVector, bernoulli_design, design_from_text,
+from .testing import (OutcomeVector, bernoulli_design, design_from_text,
                       design_to_csv, design_to_json)
 
 
@@ -156,7 +155,6 @@ def _cmd_decode(args) -> None:
     with open(args.design, "r", encoding="utf-8") as fh:
         design = design_from_text(fh.read())
     y = _read_outcomes(args.outcomes)
-    noise = NoiseSpec("symmetric", args.rho) if args.rho > 0 else NoiseSpec()
     prior = None
     family = args.decoder.replace("-", "_")
     if family == "ising_map":
@@ -164,13 +162,7 @@ def _cmd_decode(args) -> None:
         if args.lam is None or args.phi is None:
             raise UsageError("ising-map decoding requires --lam and --phi")
         prior = IsingPrior.uniform(graph, args.lam, args.phi)
-    eta = args.eta
-    if noise.is_noisy and eta is None and family == "ising_map":
-        eta = math.log((1 - args.rho) / args.rho)
-    if noise.is_noisy and eta is None:
-        raise UsageError("noisy sparsity decoding requires --eta")
-    spec = DecoderSpec(family=family, relaxed=args.relaxed, noise=noise,
-                       eta=eta, prior=prior)
+    spec = decoder_spec(family, args.relaxed, args.rho, args.eta, prior)
     result = decode(spec, design, y)
     _write(json.dumps(result.to_json_dict(), indent=2) + "\n", args.out)
 

@@ -18,6 +18,12 @@ as sum_j X_ij u_j <= (test size) * xi_i with xi_i binary, so that xi_i = 1
 exactly when the noiseless outcome would have been positive.  An equality
 encoding (sum = xi_i) would additionally forbid two defectives from sharing
 a negative test, breaking exact MAP equivalence.
+
+Model layout: variables are u (n), then one w per edge (ising_map), then
+xi (t, noisy only); rows are the t outcome rows in test order, then three
+rows per edge.  Both builders fill one preallocated dense matrix by block
+and index writes; :func:`decoder_spec` derives the noise model and the
+default flip penalty eta from the noise level.
 """
 
 from __future__ import annotations
@@ -32,10 +38,9 @@ import numpy as np
 
 from .core import DefectiveSet, DefectivityVector
 from .milp import MilpModel, solve_ilp, solve_lp
-from .prior import IsingPrior, log_unnormalized_prob_many
+from .prior import (_CHUNK_BITS, _ENUM_LIMIT, IsingPrior, _config_chunk,
+                    log_unnormalized_prob, log_unnormalized_prob_many)
 from .testing import NoiseSpec, OutcomeVector, TestDesign, noiseless_outcomes
-
-_ENUM_LIMIT = 20
 
 
 class ModelViolationError(ValueError):
@@ -75,9 +80,29 @@ class DecoderSpec:
             if self.eta is None or not math.isfinite(self.eta) or self.eta <= 0:
                 raise ValueError("noisy decoding requires a finite eta > 0")
 
-    @property
-    def label(self) -> str:
-        return self.family
+
+def decoder_spec(family: str, relaxed: bool, rho: float, eta: Optional[float],
+                 prior: Optional[IsingPrior],
+                 q: Optional[float] = None) -> DecoderSpec:
+    """The spec for decoding outcomes of symmetric noise level ``rho``.
+
+    A noisy decode without an explicit ``eta`` gets the MAP flip penalty
+    (ising_map) or the sparsity flip weight for the truth's defectivity
+    rate ``q`` (sparsity; without a ``q`` in (0, 0.5) there is no default
+    and this raises ValueError).  ``prior`` is kept for ising_map only.
+    """
+    noise = NoiseSpec("symmetric", rho) if rho > 0 else NoiseSpec()
+    if noise.is_noisy and eta is None:
+        if family == "ising_map":
+            eta = map_flip_penalty(rho)
+        elif q is None or not (0.0 < q < 0.5):
+            raise ValueError(
+                f"noisy sparsity decoding needs eta: it has no default without "
+                f"a truth defectivity rate k/n in (0, 0.5) (got {q})")
+        else:
+            eta = sparsity_flip_penalty(rho, q)
+    return DecoderSpec(family=family, relaxed=relaxed, noise=noise, eta=eta,
+                       prior=prior if family == "ising_map" else None)
 
 
 @dataclass(frozen=True)
@@ -145,31 +170,40 @@ class DecodeResult:
         }
 
 
-def _group_testing_rows(design: TestDesign, y: OutcomeVector, num_vars: int,
-                        xi_offset: Optional[int]):
-    """Constraint rows of C_noiseless (xi_offset None) or the noisy variant."""
-    x = design.matrix.astype(float)
-    rows, rels, rhs = [], [], []
-    for i in range(design.t):
-        row = np.zeros(num_vars)
-        row[:design.n] = x[i]
-        if y.y[i] == 0:
-            if xi_offset is None:
-                rows.append(row)
-                rels.append("==")
-                rhs.append(0.0)
-            else:
-                row[xi_offset + i] = -float(x[i].sum())
-                rows.append(row)
-                rels.append("<=")
-                rhs.append(0.0)
-        else:
-            if xi_offset is not None:
-                row[xi_offset + i] = 1.0
-            rows.append(row)
-            rels.append(">=")
-            rhs.append(1.0)
-    return rows, rels, rhs
+def _assemble(design: TestDesign, y: OutcomeVector, c: np.ndarray,
+              xi_offset: Optional[int], edges: np.ndarray, relaxed: bool,
+              objective_constant: float = 0.0) -> MilpModel:
+    """Binary model with objective ``c`` over the outcome rows of
+    C_noiseless (xi_offset None) or the noisy variant, then the three
+    linearization rows of edge k (w <= u_a, w <= u_b, u_a + u_b - w <= 1)
+    at rows t+3k, t+3k+1, t+3k+2 with w = n + k."""
+    n, t, nv, ne = design.n, design.t, c.shape[0], edges.shape[0]
+    neg = y.to_numpy() == 0
+    a = np.zeros((t + 3 * ne, nv))
+    a[:t, :n] = design.matrix
+    rels = np.full(t + 3 * ne, "<=")
+    rels[:t] = np.where(neg, "==" if xi_offset is None else "<=", ">=")
+    rhs = np.zeros(t + 3 * ne)
+    rhs[:t] = ~neg
+    if xi_offset is not None:
+        tests = np.arange(t)
+        a[tests, xi_offset + tests] = np.where(neg, -a[:t, :n].sum(axis=1), 1.0)
+    r, w = t + 3 * np.arange(ne), n + np.arange(ne)
+    ua, ub = edges[:, 0], edges[:, 1]
+    a[r, w], a[r, ua] = 1.0, -1.0
+    a[r + 1, w], a[r + 1, ub] = 1.0, -1.0
+    a[r + 2, ua], a[r + 2, ub], a[r + 2, w] = 1.0, 1.0, -1.0
+    rhs[r + 2] = 1.0
+    return MilpModel(
+        objective=c,
+        lower=np.zeros(nv),
+        upper=np.ones(nv),
+        a_matrix=a,
+        relations=tuple(rels.tolist()),
+        rhs=rhs,
+        integer_mask=np.full(nv, not relaxed),
+        objective_constant=objective_constant,
+    )
 
 
 def build_sparsity_model(design: TestDesign, y: OutcomeVector, noise: NoiseSpec,
@@ -183,20 +217,11 @@ def build_sparsity_model(design: TestDesign, y: OutcomeVector, noise: NoiseSpec,
     if noisy and (eta is None or eta <= 0):
         raise ValueError("noisy sparsity model requires eta > 0")
     n, t = design.n, design.t
-    nv = n + t if noisy else n
-    c = np.ones(nv)
+    c = np.ones(n + t if noisy else n)
     if noisy:
         c[n:] = eta
-    rows, rels, rhs = _group_testing_rows(design, y, nv, n if noisy else None)
-    return MilpModel(
-        objective=c,
-        lower=np.zeros(nv),
-        upper=np.ones(nv),
-        a_matrix=np.array(rows).reshape(len(rows), nv),
-        relations=tuple(rels),
-        rhs=np.array(rhs),
-        integer_mask=np.full(nv, not relaxed),
-    )
+    return _assemble(design, y, c, n if noisy else None,
+                     np.zeros((0, 2), dtype=np.intp), relaxed)
 
 
 def ising_objective_offset(prior: IsingPrior) -> float:
@@ -225,53 +250,20 @@ def build_ising_linearized_model(design: TestDesign, y: OutcomeVector,
     if noisy and (eta is None or eta <= 0):
         raise ValueError("noisy ising model requires eta > 0")
     n, t = design.n, design.t
-    edges = prior.graph.edges
-    ne = len(edges)
+    edges = np.array(prior.graph.edges, dtype=np.intp).reshape(-1, 2)
+    ne = edges.shape[0]
     nv = n + ne + (t if noisy else 0)
-    xi_offset = n + ne if noisy else None
 
     c = np.zeros(nv)
     c[:n] = 2.0 * prior.phi
-    for idx, (a, b) in enumerate(edges):
-        c[a] += 2.0 * prior.lam[idx]
-        c[b] += 2.0 * prior.lam[idx]
-        c[n + idx] = -4.0 * prior.lam[idx]
+    # np.add.at is unbuffered: a shared endpoint adds its edges' terms in
+    # edge order, so the rounding is fixed.
+    np.add.at(c, edges.ravel(), np.repeat(2.0 * prior.lam, 2))
+    c[n:n + ne] = -4.0 * prior.lam
     if noisy:
-        c[xi_offset:] = eta
-
-    rows, rels, rhs = _group_testing_rows(design, y, nv, xi_offset)
-    for idx, (a, b) in enumerate(edges):
-        w = n + idx
-        r1 = np.zeros(nv)
-        r1[w] = 1.0
-        r1[a] = -1.0
-        rows.append(r1)
-        rels.append("<=")
-        rhs.append(0.0)
-        r2 = np.zeros(nv)
-        r2[w] = 1.0
-        r2[b] = -1.0
-        rows.append(r2)
-        rels.append("<=")
-        rhs.append(0.0)
-        r3 = np.zeros(nv)
-        r3[a] = 1.0
-        r3[b] = 1.0
-        r3[w] = -1.0
-        rows.append(r3)
-        rels.append("<=")
-        rhs.append(1.0)
-
-    return MilpModel(
-        objective=c,
-        lower=np.zeros(nv),
-        upper=np.ones(nv),
-        a_matrix=np.array(rows),
-        relations=tuple(rels),
-        rhs=np.array(rhs),
-        integer_mask=np.full(nv, not relaxed),
-        objective_constant=-ising_objective_offset(prior),
-    )
+        c[n + ne:] = eta
+    return _assemble(design, y, c, n + ne if noisy else None, edges, relaxed,
+                     -ising_objective_offset(prior))
 
 
 def round_relaxed(values: np.ndarray) -> tuple:
@@ -315,8 +307,7 @@ def map_score(prior: IsingPrior, u: DefectivityVector, design: TestDesign,
     Noiseless: log prior when u is outcome-consistent, else -inf.
     Noisy: log prior + (#flips) * log(rho / (1-rho)).
     """
-    bits = u.to_numpy()[None, :]
-    logp = float(log_unnormalized_prob_many(prior, bits)[0])
+    logp = log_unnormalized_prob(prior, u)
     clean = noiseless_outcomes(design, u)
     if noise.is_noisy:
         flips = int((clean != y.to_numpy()).sum())
@@ -344,19 +335,16 @@ def brute_force_map(design: TestDesign, y: OutcomeVector, prior: IsingPrior,
     flip_cost = math.log(noise.rho / (1.0 - noise.rho)) if noisy else 0.0
     best_score = -math.inf
     best_bits = None
-    chunk = 1 << min(n, 16)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    chunk = 1 << min(n, _CHUNK_BITS)
     for start in range(0, 1 << n, chunk):
-        stop = min(start + chunk, 1 << n)
-        vals = np.arange(start, stop, dtype=np.int64)
-        configs = ((vals[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+        configs = _config_chunk(n, start, min(start + chunk, 1 << n))
         scores = log_unnormalized_prob_many(prior, configs)
         hits = configs.astype(np.int64) @ x_t
         if noisy:
             flips = ((hits >= 1).astype(np.uint8) != y_arr).sum(axis=1)
             scores = scores + flip_cost * flips
         else:
-            ok = np.ones(len(vals), dtype=bool)
+            ok = np.ones(len(configs), dtype=bool)
             if (y_arr == 0).any():
                 ok &= (hits[:, y_arr == 0] == 0).all(axis=1)
             if (y_arr == 1).any():

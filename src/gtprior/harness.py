@@ -11,26 +11,26 @@ Decode failures (any solver status other than optimal: infeasible models
 under mismatch, or a node limit hit even when it left an incumbent) are
 recorded with the fp_rate = fn_rate = 1.0 convention, flagged in the trial
 dump and counted in the row's failures; they are never silently dropped.
+
+Report columns are the fields of :class:`AggregateRow` (summary) and
+:class:`TrialRecord` (trial dump) in declaration order; ``include_times``
+drops ``time_s``, and CSV cells write booleans as 0/1.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import DefectivityVector, count_fp_fn
-from .decoders import (DecoderSpec, decode, map_flip_penalty,
-                       sparsity_flip_penalty)
+from .decoders import decode, decoder_spec
 from .prior import (IsingPrior, ItemGraph, build_block, build_grid,
                     gibbs_sample, load_edge_list, perturb_edges,
                     subsample_vertices)
 from .rng import RNG_ID, derive_seed
-from .testing import NoiseSpec, bernoulli_design, run_tests
-
-CSV_COLUMNS = ("t", "rho", "decoder", "relaxed", "fp_rate", "fn_rate",
-               "time_s", "trials")
+from .testing import bernoulli_design, run_tests
 
 
 @dataclass(frozen=True)
@@ -225,26 +225,13 @@ class ExperimentReport:
     metadata: dict
 
 
-def _resolve_prior(graph: ItemGraph, lam: float, phi: float) -> IsingPrior:
-    return IsingPrior.uniform(graph, lam, phi)
+def _columns(record_type, include_times: bool = True) -> tuple:
+    """Report columns of a record type: its fields, in declaration order."""
+    return tuple(f.name for f in fields(record_type)
+                 if include_times or f.name != "time_s")
 
 
-def _decoder_spec(dec: DecoderConfig, rho: float, assumed_prior: IsingPrior,
-                  q: float) -> DecoderSpec:
-    noise = NoiseSpec("symmetric", rho) if rho > 0 else NoiseSpec()
-    eta = dec.eta
-    if noise.is_noisy and eta is None:
-        if dec.family == "ising_map":
-            eta = map_flip_penalty(rho)
-        else:
-            if not (0.0 < q < 0.5):
-                raise ValueError(
-                    f"default sparsity eta needs defectivity rate in (0, 0.5); "
-                    f"truth has k/n = {q}; set eta explicitly in the decoder config")
-            eta = sparsity_flip_penalty(rho, q)
-    prior = assumed_prior if dec.family == "ising_map" else None
-    return DecoderSpec(family=dec.family, relaxed=dec.relaxed, noise=noise,
-                       eta=eta, prior=prior)
+CSV_COLUMNS = _columns(AggregateRow)
 
 
 def sample_truth(config: ExperimentConfig, graph: Optional[ItemGraph] = None
@@ -252,7 +239,7 @@ def sample_truth(config: ExperimentConfig, graph: Optional[ItemGraph] = None
     """The fixed truth vector shared by every trial of a run."""
     if graph is None:
         graph = config.graph.build(config.base_seed)
-    prior = _resolve_prior(graph, config.lam, config.phi)
+    prior = IsingPrior.uniform(graph, config.lam, config.phi)
     return gibbs_sample(prior, config.truth_sweeps,
                         derive_seed(config.base_seed, "truth"))
 
@@ -284,16 +271,16 @@ def run_experiment(config: ExperimentConfig,
                 if decoder_priors is not None and dec in decoder_priors:
                     assumed = decoder_priors[dec]
                 else:
-                    assumed = _resolve_prior(
+                    assumed = IsingPrior.uniform(
                         graph_for_decoding,
                         dec.lam if dec.lam is not None else config.lam,
                         dec.phi if dec.phi is not None else config.phi)
-                spec = _decoder_spec(dec, rho, assumed, q)
+                spec = decoder_spec(dec.family, dec.relaxed, rho, dec.eta,
+                                    assumed, q)
                 for trial in range(config.trials):
                     dseed = derive_seed(config.base_seed, "design", trial)
                     design = factory(t, truth.n, p, dseed)
-                    noise = NoiseSpec("symmetric", rho) if rho > 0 else NoiseSpec()
-                    y = run_tests(design, truth, noise,
+                    y = run_tests(design, truth, spec.noise,
                                   derive_seed(config.base_seed, "noise", trial, rho))
                     result = decode(spec, design, y)
                     if result.solver_status != "optimal":
@@ -379,54 +366,36 @@ def run_lambda_mismatch(config: ExperimentConfig, lambda_values: Sequence[float]
     return out
 
 
+def _cell(value) -> str:
+    return str(int(value)) if isinstance(value, bool) else str(value)
+
+
+def _csv(record_type, records, include_times: bool = True) -> str:
+    cols = _columns(record_type, include_times)
+    lines = [",".join(cols)]
+    lines.extend(",".join(_cell(getattr(r, c)) for c in cols) for r in records)
+    return "\n".join(lines) + "\n"
+
+
 def report_csv(report: ExperimentReport, include_times: bool = True) -> str:
     """Deterministic CSV body; drop the wall-time column for byte-level
     reproducibility comparisons."""
-    cols = [c for c in CSV_COLUMNS if include_times or c != "time_s"]
-    lines = [",".join(cols)]
-    for row in report.rows:
-        vals = {
-            "t": str(row.t), "rho": repr(row.rho), "decoder": row.decoder,
-            "relaxed": str(int(row.relaxed)), "fp_rate": repr(row.fp_rate),
-            "fn_rate": repr(row.fn_rate), "time_s": repr(row.time_s),
-            "trials": str(row.trials),
-        }
-        lines.append(",".join(vals[c] for c in cols))
-    return "\n".join(lines) + "\n"
+    return _csv(AggregateRow, report.rows, include_times)
 
 
 def trials_csv(report: ExperimentReport) -> str:
-    cols = ("t", "rho", "decoder", "relaxed", "trial", "fp", "fn", "fp_rate",
-            "fn_rate", "time_s", "status", "design_seed")
-    lines = [",".join(cols)]
-    for r in report.trial_records:
-        lines.append(",".join([
-            str(r.t), repr(r.rho), r.decoder, str(int(r.relaxed)), str(r.trial),
-            str(r.fp), str(r.fn), repr(r.fp_rate), repr(r.fn_rate),
-            repr(r.time_s), r.status, str(r.design_seed)]))
-    return "\n".join(lines) + "\n"
+    return _csv(TrialRecord, report.trial_records)
 
 
 def report_json(report: ExperimentReport, include_trials: bool = False,
                 include_times: bool = True) -> str:
-    rows = []
-    for row in report.rows:
-        d = {"t": row.t, "rho": row.rho, "decoder": row.decoder,
-             "relaxed": row.relaxed, "fp_rate": row.fp_rate,
-             "fn_rate": row.fn_rate, "time_s": row.time_s,
-             "trials": row.trials, "failures": row.failures}
-        if not include_times:
-            del d["time_s"]
-        rows.append(d)
-    body = {"rows": rows, "metadata": report.metadata}
+    def dicts(record_type, records):
+        cols = _columns(record_type, include_times)
+        return [{c: getattr(r, c) for c in cols} for r in records]
+
+    body = {"rows": dicts(AggregateRow, report.rows), "metadata": report.metadata}
     if include_trials:
-        body["trials"] = [
-            {"t": r.t, "rho": r.rho, "decoder": r.decoder, "relaxed": r.relaxed,
-             "trial": r.trial, "fp": r.fp, "fn": r.fn, "fp_rate": r.fp_rate,
-             "fn_rate": r.fn_rate,
-             **({"time_s": r.time_s} if include_times else {}),
-             "status": r.status, "design_seed": r.design_seed}
-            for r in report.trial_records]
+        body["trials"] = dicts(TrialRecord, report.trial_records)
     return json.dumps(body, indent=2) + "\n"
 
 

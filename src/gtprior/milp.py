@@ -119,7 +119,8 @@ def feasibility_violation(model: MilpModel,
 
     Row ``i`` contributes its violation divided by ``1 + |rhs_i|``.  ``x`` is
     one point of length ``num_vars`` (returns a float) or an ``(N,
-    num_vars)`` batch (returns one violation per point).
+    num_vars)`` batch (returns one violation per point).  A point with a NaN
+    coordinate is infinitely infeasible, so every ``> tol`` check rejects it.
     """
     x = np.asarray(x, dtype=float)
     worst = np.maximum(np.max(model.lower - x, axis=-1, initial=0.0),
@@ -132,6 +133,7 @@ def feasibility_violation(model: MilpModel,
                      np.where(rel == ">=", b - ax, np.abs(ax - b)))
         worst = np.maximum(worst, np.max(v / (1.0 + np.abs(b)), axis=-1,
                                          initial=0.0))
+    worst = np.where(np.isnan(worst), np.inf, worst)
     return float(worst) if x.ndim == 1 else worst
 
 

@@ -99,11 +99,7 @@ def log_unnormalized_prob(prior: IsingPrior, u: DefectivityVector) -> float:
     """log P(u) + log Z for the Ising prior."""
     if u.n != prior.n:
         raise ValueError(f"dimension mismatch: u.n={u.n}, prior n={prior.n}")
-    s = 2.0 * u.to_numpy().astype(float) - 1.0
-    total = -float(prior.phi @ s)
-    for idx, (j, jp) in enumerate(prior.graph.edges):
-        total += float(prior.lam[idx]) * s[j] * s[jp]
-    return total
+    return float(log_unnormalized_prob_many(prior, u.to_numpy()[None])[0])
 
 
 def _config_chunk(n: int, start: int, stop: int) -> np.ndarray:

@@ -6,7 +6,8 @@ import pytest
 from gtprior.core import DefectiveSet, DefectivityVector
 from gtprior.decoders import (CandidateFamily, DecoderSpec, ModelViolationError,
                               brute_force_map, build_ising_linearized_model,
-                              build_sparsity_model, decode, info_density,
+                              build_model, build_sparsity_model, decode,
+                              decoder_spec, info_density,
                               ising_objective_offset, map_flip_penalty,
                               map_score, n_tau_counts, n_tilde_max,
                               round_relaxed, sparsity_flip_penalty,
@@ -128,6 +129,79 @@ class TestIsingLinearization:
             -map_score(prior, bf, design, y, NoiseSpec()), abs=1e-9)
 
 
+class TestModelLayout:
+    """Exact row order, relations, rhs and coefficients of both builders on a
+    3-item path graph with one positive and one negative test.  Branch and
+    bound explores rows in this order, so the layout is part of the output."""
+
+    design = design_of([[1, 1, 0], [0, 1, 1]])
+    y = OutcomeVector((1, 0))
+    prior = IsingPrior(ItemGraph(3, ((0, 1), (1, 2))), np.array([0.5, -0.25]),
+                       np.array([0.125, 0.25, 0.375]))
+    # family, noisy -> (objective, a_matrix, relations, rhs)
+    expected = {
+        ("sparsity", False): (
+            [1, 1, 1],
+            [[1, 1, 0],
+             [0, 1, 1]],
+            (">=", "=="), [1, 0]),
+        ("sparsity", True): (
+            [1, 1, 1, 2, 2],
+            [[1, 1, 0, 1, 0],
+             [0, 1, 1, 0, -2]],
+            (">=", "<="), [1, 0]),
+        # columns u0 u1 u2 | w01 w12
+        ("ising_map", False): (
+            [1.25, 1.0, 0.25, -2.0, 1.0],
+            [[1, 1, 0, 0, 0],
+             [0, 1, 1, 0, 0],
+             [-1, 0, 0, 1, 0],
+             [0, -1, 0, 1, 0],
+             [1, 1, 0, -1, 0],
+             [0, -1, 0, 0, 1],
+             [0, 0, -1, 0, 1],
+             [0, 1, 1, 0, -1]],
+            (">=", "==", "<=", "<=", "<=", "<=", "<=", "<="),
+            [1, 0, 0, 0, 1, 0, 0, 1]),
+        # columns u0 u1 u2 | w01 w12 | xi0 xi1
+        ("ising_map", True): (
+            [1.25, 1.0, 0.25, -2.0, 1.0, 2, 2],
+            [[1, 1, 0, 0, 0, 1, 0],
+             [0, 1, 1, 0, 0, 0, -2],
+             [-1, 0, 0, 1, 0, 0, 0],
+             [0, -1, 0, 1, 0, 0, 0],
+             [1, 1, 0, -1, 0, 0, 0],
+             [0, -1, 0, 0, 1, 0, 0],
+             [0, 0, -1, 0, 1, 0, 0],
+             [0, 1, 1, 0, -1, 0, 0]],
+            (">=", "<=", "<=", "<=", "<=", "<=", "<=", "<="),
+            [1, 0, 0, 0, 1, 0, 0, 1]),
+    }
+
+    @pytest.mark.parametrize("family,noisy", sorted(expected))
+    def test_layout(self, family, noisy):
+        noise = NoiseSpec("symmetric", 0.1) if noisy else NoiseSpec()
+        spec = DecoderSpec(family, relaxed=noisy, noise=noise,
+                           eta=2.0 if noisy else None,
+                           prior=self.prior if family == "ising_map" else None)
+        model = build_model(spec, self.design, self.y)
+        c, a, rel, b = self.expected[(family, noisy)]
+        assert np.array_equal(model.objective, np.array(c, dtype=float))
+        assert np.array_equal(model.a_matrix, np.array(a, dtype=float))
+        assert model.relations == rel
+        assert np.array_equal(model.rhs, np.array(b, dtype=float))
+        assert np.array_equal(model.lower, np.zeros(len(c)))
+        assert np.array_equal(model.upper, np.ones(len(c)))
+        assert np.array_equal(model.integer_mask, np.full(len(c), not noisy))
+
+    def test_objective_constant(self):
+        spec = DecoderSpec("ising_map", prior=self.prior)
+        model = build_model(spec, self.design, self.y)
+        assert model.objective_constant == -1.0  # -(sum lam + sum phi)
+        assert build_model(DecoderSpec("sparsity"), self.design,
+                           self.y).objective_constant == 0.0
+
+
 class TestDecode:
     def test_all_negative_yields_zero_vector(self):
         design = bernoulli_design(6, 5, 0.4, seed=19)
@@ -174,6 +248,21 @@ class TestDecode:
         assert map_flip_penalty(0.05) == pytest.approx(math.log(0.95 / 0.05))
         got = sparsity_flip_penalty(0.01, 0.1)
         assert got == pytest.approx(math.log(99) / math.log(9))
+
+    def test_decoder_spec_derivation(self):
+        prior = IsingPrior.uniform(build_grid(2, 2), 0.5, 0.1)
+        clean = decoder_spec("ising_map", False, 0.0, None, prior)
+        assert clean.noise == NoiseSpec() and clean.eta is None
+        noisy = decoder_spec("ising_map", True, 0.05, None, prior)
+        assert noisy.noise == NoiseSpec("symmetric", 0.05)
+        assert noisy.eta == map_flip_penalty(0.05) and noisy.prior is prior
+        sparse = decoder_spec("sparsity", False, 0.01, None, prior, 0.1)
+        assert sparse.eta == sparsity_flip_penalty(0.01, 0.1)
+        assert sparse.prior is None
+        assert decoder_spec("sparsity", False, 0.01, 3.0, None).eta == 3.0
+        for q in (None, 0.0, 0.5):
+            with pytest.raises(ValueError):
+                decoder_spec("sparsity", False, 0.01, None, None, q)
 
 
 class TestBruteForceMap:

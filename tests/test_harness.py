@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from gtprior.harness import (CSV_COLUMNS, DecoderConfig, ExperimentConfig,
-                             GraphConfig, PRESETS, blocks_csv, emit,
+from gtprior import harness
+from gtprior.core import DefectivityVector
+from gtprior.decoders import DecodeResult
+from gtprior.harness import (CSV_COLUMNS, AggregateRow, DecoderConfig,
+                             ExperimentConfig, ExperimentReport, GraphConfig,
+                             PRESETS, TrialRecord, blocks_csv, emit,
                              report_csv, report_json, run_experiment,
                              run_graph_mismatch, run_lambda_mismatch,
                              sample_truth, trials_csv)
@@ -33,6 +37,12 @@ def small_config(**overrides):
 def identity_factory(t, n, p, seed):
     assert t == n
     return TestDesign(np.eye(n, dtype=np.uint8), bernoulli_p=p, seed=seed)
+
+
+def node_limited_decode(spec, design, y):
+    """A decode that hit its node limit with an all-zero incumbent."""
+    estimate = DefectivityVector((0,) * design.n)
+    return DecodeResult(estimate, 0.0, "node_limit", 7, 0.0, spec)
 
 
 class TestRunExperiment:
@@ -89,20 +99,19 @@ class TestRunExperiment:
         assert fn["ising_map"] <= fn["sparsity"] + 1e-12
 
     def test_node_limit_incumbent_is_a_failure(self, monkeypatch):
-        from gtprior import harness
-        from gtprior.core import DefectivityVector
-        from gtprior.decoders import DecodeResult
-
-        def capped(spec, design, y):
-            estimate = DefectivityVector((0,) * design.n)
-            return DecodeResult(estimate, 0.0, "node_limit", 7, 0.0, spec)
-
-        monkeypatch.setattr(harness, "decode", capped)
+        monkeypatch.setattr(harness, "decode", node_limited_decode)
         report = run_experiment(small_config(trials=2))
         assert all(r.status == "failed:node_limit"
                    for r in report.trial_records)
         assert all(r.fp_rate == r.fn_rate == 1.0 for r in report.trial_records)
         assert all(row.failures == row.trials == 2 for row in report.rows)
+
+    def test_failures_reach_the_summary_csv(self, monkeypatch):
+        monkeypatch.setattr(harness, "decode", node_limited_decode)
+        lines = report_csv(run_experiment(small_config(trials=1))).splitlines()
+        assert lines[0].split(",")[-1] == "failures"
+        assert len(lines) == 3
+        assert all(line.split(",")[-1] == "1" for line in lines[1:])
 
     def test_zero_defective_truth_needs_explicit_p(self):
         config = small_config(phi=8.0, base_seed=1)  # heavily sparse prior
@@ -213,6 +222,71 @@ class TestEmission:
     def test_trials_csv_has_status(self):
         report = run_experiment(small_config(trials=1))
         assert "status" in trials_csv(report).splitlines()[0]
+
+
+class TestReportFormat:
+    """Exact report bodies of a hand-built two-row, two-trial report."""
+
+    report = ExperimentReport(
+        rows=(AggregateRow(8, 0.0, "sparsity", False, 0.25, 0.0, 0.5, 1, 0),
+              AggregateRow(8, 0.01, "ising_map", True, 1.0, 1.0, 0.125, 1, 1)),
+        trial_records=(
+            TrialRecord(8, 0.0, "sparsity", False, 0, 1, 0, 0.25, 0.0, 0.5,
+                        "ok", 123),
+            TrialRecord(8, 0.01, "ising_map", True, 0, 0, 0, 1.0, 1.0, 0.125,
+                        "failed:node_limit", 123)),
+        metadata={"n": 4, "rng": "numpy:PCG64"})
+    rows = [
+        {"t": 8, "rho": 0.0, "decoder": "sparsity", "relaxed": False,
+         "fp_rate": 0.25, "fn_rate": 0.0, "time_s": 0.5, "trials": 1,
+         "failures": 0},
+        {"t": 8, "rho": 0.01, "decoder": "ising_map", "relaxed": True,
+         "fp_rate": 1.0, "fn_rate": 1.0, "time_s": 0.125, "trials": 1,
+         "failures": 1},
+    ]
+    trials = [
+        {"t": 8, "rho": 0.0, "decoder": "sparsity", "relaxed": False,
+         "trial": 0, "fp": 1, "fn": 0, "fp_rate": 0.25, "fn_rate": 0.0,
+         "time_s": 0.5, "status": "ok", "design_seed": 123},
+        {"t": 8, "rho": 0.01, "decoder": "ising_map", "relaxed": True,
+         "trial": 0, "fp": 0, "fn": 0, "fp_rate": 1.0, "fn_rate": 1.0,
+         "time_s": 0.125, "status": "failed:node_limit", "design_seed": 123},
+    ]
+
+    @staticmethod
+    def body(rows, trials):
+        return json.dumps({"rows": rows,
+                           "metadata": {"n": 4, "rng": "numpy:PCG64"},
+                           "trials": trials}, indent=2) + "\n"
+
+    def test_json_with_trials(self):
+        assert report_json(self.report, include_trials=True) == \
+            self.body(self.rows, self.trials)
+
+    def test_json_without_times(self):
+        def untimed(dicts):
+            return [{k: v for k, v in d.items() if k != "time_s"} for d in dicts]
+
+        assert report_json(self.report, include_trials=True,
+                           include_times=False) == \
+            self.body(untimed(self.rows), untimed(self.trials))
+
+    def test_trials_csv(self):
+        assert trials_csv(self.report) == (
+            "t,rho,decoder,relaxed,trial,fp,fn,fp_rate,fn_rate,time_s,status,"
+            "design_seed\n"
+            "8,0.0,sparsity,0,0,1,0,0.25,0.0,0.5,ok,123\n"
+            "8,0.01,ising_map,1,0,0,0,1.0,1.0,0.125,failed:node_limit,123\n")
+
+    def test_summary_csv(self):
+        assert report_csv(self.report) == (
+            "t,rho,decoder,relaxed,fp_rate,fn_rate,time_s,trials,failures\n"
+            "8,0.0,sparsity,0,0.25,0.0,0.5,1,0\n"
+            "8,0.01,ising_map,1,1.0,1.0,0.125,1,1\n")
+        assert report_csv(self.report, include_times=False) == (
+            "t,rho,decoder,relaxed,fp_rate,fn_rate,trials,failures\n"
+            "8,0.0,sparsity,0,0.25,0.0,1,0\n"
+            "8,0.01,ising_map,1,1.0,1.0,1,1\n")
 
 
 class TestConfigIO:

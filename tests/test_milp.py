@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from gtprior.milp import (MilpModel, dump_model, feasibility_violation,
-                          solve_ilp, solve_lp)
+from gtprior import milp
+from gtprior.milp import (MilpModel, NumericalError, dump_model,
+                          feasibility_violation, solve_ilp, solve_lp)
 
 
 def model(c, A, rel, b, lo=None, hi=None, integer=False):
@@ -99,6 +100,25 @@ class TestSolveLp:
         s = solve_lp(model([1, 1, 1], rows, [">="] * 16, [1.0] * 16))
         assert s.status == "optimal"
         assert s.objective_value == pytest.approx(1.0)
+
+    def test_nan_point_fails_the_recheck(self, monkeypatch):
+        monkeypatch.setattr(milp, "_simplex",
+                            lambda *args: ("optimal", np.array([np.nan, 0.0])))
+        with pytest.raises(NumericalError):
+            solve_lp(model([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0]))
+
+
+class TestFeasibilityViolation:
+    m = model([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0])
+
+    def test_nan_point_is_infinitely_infeasible(self):
+        assert feasibility_violation(self.m, np.array([np.nan, 0.0])) == np.inf
+
+    def test_nan_batch_row_is_infinitely_infeasible(self):
+        got = feasibility_violation(self.m, np.array([[0.5, 0.0],
+                                                      [0.0, np.nan],
+                                                      [1.0, 1.0]]))
+        assert got.tolist() == [0.0, np.inf, 0.5]
 
 
 class TestSolveIlp:

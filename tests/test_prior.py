@@ -42,7 +42,11 @@ class TestLogProb:
         configs = rng.integers(0, 2, (50, 6))
         many = log_unnormalized_prob_many(prior, configs)
         for row, val in zip(configs, many):
-            assert val == pytest.approx(log_unnormalized_prob(prior, vec(*row)))
+            s = 2.0 * row - 1.0
+            loop = -float(prior.phi @ s) + sum(
+                prior.lam[e] * s[j] * s[jp] for e, (j, jp) in enumerate(graph.edges))
+            assert val == pytest.approx(loop)
+            assert log_unnormalized_prob(prior, vec(*row)) == pytest.approx(loop)
 
     def test_single_flip_matches_local_field(self):
         # Flipping one bit changes the log-probability by the local field.
