@@ -15,7 +15,8 @@ from typing import Optional
 from . import bounds as bounds_mod
 from .decoders import decode, decoder_spec
 from .harness import (PRESETS, ExperimentConfig, blocks_csv, blocks_json, emit,
-                      run_experiment, run_graph_mismatch, run_lambda_mismatch)
+                      render_report, run_experiment, run_graph_mismatch,
+                      run_lambda_mismatch)
 from .milp import NumericalError
 from .prior import (IsingPrior, build_block, build_grid, gibbs_sample,
                     load_edge_list, subsample_vertices)
@@ -109,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--preset", type=str, default=None,
                        choices=sorted(PRESETS))
-        p.add_argument("--dump-trials", action="store_true")
+        if name == "experiment":
+            p.add_argument("--dump-trials", action="store_true")
         if name == "mismatch-graph":
             p.add_argument("--fractions", type=str, required=True)
         if name == "mismatch-lambda":
@@ -196,10 +198,7 @@ def _cmd_experiment(args) -> None:
     if args.out:
         emit(report, args.format, args.out, include_trials=args.dump_trials)
     else:
-        from .harness import report_csv, report_json
-        text = report_csv(report) if args.format == "csv" else \
-            report_json(report, include_trials=args.dump_trials)
-        sys.stdout.write(text)
+        sys.stdout.write(render_report(report, args.format, args.dump_trials))
 
 
 def _cmd_mismatch(args, kind: str) -> None:

@@ -399,17 +399,24 @@ def report_json(report: ExperimentReport, include_trials: bool = False,
     return json.dumps(body, indent=2) + "\n"
 
 
-def emit(report: ExperimentReport, fmt: str, path: str,
-         include_trials: bool = False) -> None:
-    """Write the report as CSV or JSON with a stable column order."""
+def render_report(report: ExperimentReport, fmt: str,
+                  include_trials: bool = False) -> str:
+    """The report as CSV or JSON text with a stable column order; CSV appends
+    the trial dump after a ``# trials`` line."""
     if fmt == "csv":
         text = report_csv(report)
         if include_trials:
             text += "# trials\n" + trials_csv(report)
-    elif fmt == "json":
-        text = report_json(report, include_trials=include_trials)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        return text
+    if fmt == "json":
+        return report_json(report, include_trials=include_trials)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def emit(report: ExperimentReport, fmt: str, path: str,
+         include_trials: bool = False) -> None:
+    """Write :func:`render_report` text to ``path``."""
+    text = render_report(report, fmt, include_trials)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

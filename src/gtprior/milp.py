@@ -19,6 +19,11 @@ Implementation notes and defaults:
 * Branch-and-bound branches on the integer variable whose fractional part is
   closest to 0.5, explores depth-first, and orders the two children so the
   branch nearest the parent LP value is taken first.
+* Before the root node, branch-and-bound checks every ``==`` row whose
+  nonzeros are integers on integer variables only: the row's value is then
+  a multiple of the gcd of its coefficients, so a rhs that is not (within
+  the feasibility tolerance) proves the model infeasible with 0 nodes.
+  Rows touching a continuous variable are skipped.
 * Tolerances (all overridable): feasibility 1e-9, integrality 1e-6,
   bound-pruning 1e-7.
 * Solutions reported optimal are re-checked for feasibility before being
@@ -362,6 +367,21 @@ def solve_lp(model: MilpModel, feas_tol: float = FEASIBILITY_TOL) -> MilpSolutio
     return sol
 
 
+def _integer_row_infeasible(model: MilpModel, feas_tol: float) -> bool:
+    """True when some ``==`` row has integer coefficients on integer variables
+    only and a rhs that is no integer multiple of their gcd."""
+    eq = np.flatnonzero(np.asarray(model.relations) == "==")
+    a = model.a_matrix[eq]
+    nz = a != 0
+    whole = (a == np.round(a)) & (np.abs(a) <= 2.0 ** 53)
+    ok = nz.any(axis=1) & ~(nz & ~model.integer_mask).any(axis=1) & whole.all(axis=1)
+    if not ok.any():
+        return False
+    g = np.gcd.reduce(np.abs(a[ok]).astype(np.int64), axis=1)
+    b = model.rhs[eq[ok]]
+    return bool((np.abs(b - g * np.round(b / g)) > feas_tol).any())
+
+
 def solve_ilp(model: MilpModel, node_limit: int = 200_000,
               int_tol: float = INTEGRALITY_TOL, prune_tol: float = PRUNE_TOL,
               feas_tol: float = FEASIBILITY_TOL) -> MilpSolution:
@@ -370,6 +390,8 @@ def solve_ilp(model: MilpModel, node_limit: int = 200_000,
     for j in int_idx:
         if model.lower[j] not in (0.0, 1.0) or model.upper[j] not in (0.0, 1.0):
             raise ValueError("integer variables must have 0/1 bounds")
+    if _integer_row_infeasible(model, feas_tol):
+        return MilpSolution("infeasible", None, None, 0)
     c = model.objective
     best_x = None
     best_obj = np.inf

@@ -10,6 +10,20 @@ The model over u in {0,1}^n, written via s = 2u - 1 in {-1,+1}^n, is
 
 so a common phi > 0 favors sparse (mostly 0) vectors and a common lam > 0
 favors agreement across edges.  Negative edge strengths are allowed.
+
+All Gibbs sampling runs through one kernel that updates a whole level of
+sites at once.  level(j) is 0 when j has no smaller-index neighbour and
+otherwise 1 + the largest level among those neighbours, so sites on one
+level share no edge, every smaller-index neighbour of j lies on a lower
+level and every larger-index one on a higher level.  Updating the levels
+in increasing order therefore reads exactly the values the scan 0..n-1
+reads, and consumes the same uniform draws (one block of n per sweep, read
+through the level permutation): the result is the systematic scan, bit for
+bit, for one chain or many.  A grid has rows + cols - 1 levels.  The
+state is held as (n, chains) in level order, so each level is a slice;
+its local fields sum the neighbour terms over the leading axis of a
+(degree, sites, chains) array, left to right in ``neighbor_lists`` order,
+padded with zero strengths to the level's own largest degree.
 """
 
 from __future__ import annotations
@@ -155,39 +169,20 @@ def gibbs_sample(prior: IsingPrior, sweeps: int, seed: int) -> DefectivityVector
     P(u_j = 1 | rest) = 1 / (1 + exp(-2 h_j)) with local field
     h_j = sum_{j' ~ j} lam_{jj'} s_{j'} - phi_j.
     """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    n = prior.n
-    gen = generator(seed)
-    s = np.where(gen.random(n) < 0.5, -1.0, 1.0)
-    nbrs = prior.graph.neighbor_lists()
-    nbr_idx = [np.array([p[0] for p in lst], dtype=np.intp) for lst in nbrs]
-    nbr_lam = [np.array([prior.lam[p[1]] for p in lst]) for lst in nbrs]
-    phi = prior.phi
-    for _ in range(sweeps):
-        draws = gen.random(n)
-        for j in range(n):
-            h = float(nbr_lam[j] @ s[nbr_idx[j]]) - phi[j] if len(nbr_idx[j]) \
-                else -phi[j]
-            try:
-                p1 = 1.0 / (1.0 + math.exp(-2.0 * h))
-            except OverflowError:  # h < ~-355: exactly IEEE 1 / (1 + inf)
-                p1 = 0.0
-            assert 0.0 <= p1 <= 1.0  # conditional probabilities sum to 1
-            s[j] = 1.0 if draws[j] < p1 else -1.0
-    return DefectivityVector.from_array(((s > 0).astype(int)))
+    states, _ = _gibbs_chains(prior, sweeps, 1, seed, burn_in=None)
+    return DefectivityVector.from_array(states[0])
 
 
 def gibbs_sample_ensemble(prior: IsingPrior, sweeps: int, num_chains: int,
                           seed: int) -> np.ndarray:
     """Final states of ``num_chains`` independent Gibbs chains, shape (chains, n).
 
-    All chains share one PCG64 stream (one block of uniforms per sweep), which
-    makes the ensemble deterministic given (prior, sweeps, num_chains, seed)
-    and keeps large ensembles fast; chains are mutually independent but do not
-    bitwise-match single-chain :func:`gibbs_sample` runs.
+    All chains share one PCG64 stream (one ``(chains, n)`` block of uniforms
+    per sweep), so the ensemble is deterministic given (prior, sweeps,
+    num_chains, seed).  A one-chain ensemble is :func:`gibbs_sample`; with
+    more chains, chain 0 reads other draws and no longer matches it.
     """
-    states, _ = _gibbs_ensemble(prior, sweeps, num_chains, seed, burn_in=None)
+    states, _ = _gibbs_chains(prior, sweeps, num_chains, seed, burn_in=None)
     return states
 
 
@@ -203,38 +198,55 @@ def gibbs_marginal_estimate(prior: IsingPrior, sweeps: int, num_chains: int,
         burn_in = sweeps // 2
     if not (0 <= burn_in < sweeps):
         raise ValueError("burn_in must lie in [0, sweeps)")
-    _, marg = _gibbs_ensemble(prior, sweeps, num_chains, seed, burn_in=burn_in)
+    _, marg = _gibbs_chains(prior, sweeps, num_chains, seed, burn_in=burn_in)
     return marg
 
 
-def _gibbs_ensemble(prior, sweeps, num_chains, seed, burn_in):
+def _level_schedule(prior: IsingPrior):
+    """Level order, its inverse, and per level (start, stop, neighbour
+    positions, lam, phi) in ``neighbor_lists`` order, zero-lam padded."""
+    nbrs = prior.graph.neighbor_lists()
+    level = np.zeros(prior.n, dtype=np.intp)
+    for j, lst in enumerate(nbrs):
+        level[j] = max((level[jp] + 1 for jp, _ in lst if jp < j), default=0)
+    order = np.argsort(level, kind="stable")
+    pos = np.argsort(order)
+    stops = np.cumsum(np.bincount(level))
+    sched = []
+    for start, stop in zip(np.r_[0, stops[:-1]], stops):
+        sites = order[start:stop]
+        idx = np.zeros((max(len(nbrs[j]) for j in sites), len(sites)), dtype=np.intp)
+        lam = np.zeros(idx.shape + (1,))
+        for c, j in enumerate(sites):
+            for d, (jp, e) in enumerate(nbrs[j]):
+                idx[d, c], lam[d, c, 0] = pos[jp], prior.lam[e]
+        sched.append((start, stop, idx, lam, prior.phi[sites][:, None]))
+    return order, pos, sched
+
+
+def _gibbs_chains(prior, sweeps, num_chains, seed, burn_in):
+    """(final states, post-burn-in marginals or None), level by level."""
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     if num_chains < 1:
         raise ValueError("num_chains must be >= 1")
-    n = prior.n
+    order, pos, sched = _level_schedule(prior)
     gen = generator(seed)
-    s = np.where(gen.random((num_chains, n)) < 0.5, -1.0, 1.0)
-    nbrs = prior.graph.neighbor_lists()
-    nbr_idx = [np.array([p[0] for p in lst], dtype=np.intp) for lst in nbrs]
-    nbr_lam = [np.array([prior.lam[p[1]] for p in lst]) for lst in nbrs]
-    phi = prior.phi
-    acc = np.zeros(n)
+    s = np.where(gen.random((num_chains, prior.n)) < 0.5, -1.0, 1.0)[:, order].T.copy()
+    acc = np.zeros(prior.n)
     kept = 0
-    for sweep in range(sweeps):
-        draws = gen.random((num_chains, n))
-        for j in range(n):
-            if len(nbr_idx[j]):
-                h = s[:, nbr_idx[j]] @ nbr_lam[j] - phi[j]
-            else:
-                h = np.full(num_chains, -phi[j])
-            p1 = 1.0 / (1.0 + np.exp(-2.0 * h))
-            s[:, j] = np.where(draws[:, j] < p1, 1.0, -1.0)
-        if burn_in is not None and sweep >= burn_in:
-            acc += (s > 0).sum(axis=0)
-            kept += 1
-    states = (s > 0).astype(np.uint8)
-    marg = acc / (kept * num_chains) if kept else None
+    with np.errstate(over="ignore"):  # exp overflow gives p1 = 1/(1+inf) = 0
+        for sweep in range(sweeps):
+            draws = gen.random((num_chains, prior.n))[:, order].T
+            for start, stop, idx, lam, phi in sched:
+                h = np.add.reduce(lam * s.take(idx, axis=0), axis=0) - phi
+                p1 = 1.0 / (1.0 + np.exp(-2.0 * h))
+                s[start:stop] = np.where(draws[start:stop] < p1, 1.0, -1.0)
+            if burn_in is not None and sweep >= burn_in:
+                acc += (s > 0).sum(axis=1)
+                kept += 1
+    states = (s[pos] > 0).T.astype(np.uint8)
+    marg = acc[pos] / (kept * num_chains) if kept else None
     return states, marg
 
 
@@ -341,14 +353,26 @@ def perturb_edges(g: ItemGraph, fraction: float, seed: int) -> ItemGraph:
     r = int(round(fraction * g.num_edges))
     if r == 0:
         return g
-    edge_set = set(g.edges)
-    non_edges = [(j, jp) for j in range(g.n) for jp in range(j + 1, g.n)
-                 if (j, jp) not in edge_set]
-    if r > len(non_edges):
-        raise ValueError(f"cannot add {r} edges: only {len(non_edges)} non-edges exist")
+    n, m = g.n, g.num_edges
+    total = n * (n - 1) // 2 - m
+    if r > total:
+        raise ValueError(f"cannot add {r} edges: only {total} non-edges exist")
     gen = generator(seed)
-    drop = set(gen.choice(g.num_edges, size=r, replace=False).tolist())
+    drop = set(gen.choice(m, size=r, replace=False).tolist())
     kept = [e for i, e in enumerate(g.edges) if i not in drop]
-    added_idx = gen.choice(len(non_edges), size=r, replace=False)
-    kept.extend(non_edges[int(i)] for i in added_idx)
+    added_idx = gen.choice(total, size=r, replace=False)
+    # Non-edge i is the i-th pair (j, jp), j < jp, in lexicographic order
+    # that is not an edge.  Row j holds free[j] of them; within the row,
+    # column jp steps over every forward edge whose preceding non-edge
+    # count (``before``, non-decreasing in edge order) is <= i.
+    lo, hi = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    fwd = np.bincount(lo, minlength=n)
+    free = np.arange(n - 1, -1, -1) - fwd
+    row_start = np.cumsum(free) - free
+    edge_start = np.cumsum(fwd) - fwd
+    before = row_start[lo] + (hi - lo - 1) - (np.arange(m) - edge_start[lo])
+    j = np.searchsorted(row_start + free, added_idx, side="right")
+    jp = (j + 1 + added_idx - row_start[j]
+          + np.searchsorted(before, added_idx, side="right") - edge_start[j])
+    kept.extend(zip(j.tolist(), jp.tolist()))
     return ItemGraph(g.n, tuple(kept))

@@ -150,6 +150,31 @@ class TestExperimentCommands:
         assert code == 0
         assert out.count("# lambda=") == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("dump", [[], ["--dump-trials"]])
+    def test_stdout_matches_out_file(self, tmp_path, capsys, monkeypatch, fmt, dump):
+        import gtprior.cli as cli_mod
+        from gtprior.harness import ExperimentConfig, run_experiment
+
+        config = self.config_file(tmp_path)
+        report = run_experiment(ExperimentConfig.from_json_file(config))
+        monkeypatch.setattr(cli_mod, "run_experiment", lambda cfg: report)
+        code, out, _ = run(capsys, "--format", fmt, "experiment", "--config",
+                           config, *dump)
+        assert code == 0
+        path = tmp_path / "report"
+        code, _, _ = run(capsys, "--format", fmt, "--out", str(path),
+                         "experiment", "--config", config, *dump)
+        assert code == 0
+        assert out.encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("command, values", [("mismatch-graph", "--fractions"),
+                                                 ("mismatch-lambda", "--lambdas")])
+    def test_mismatch_rejects_dump_trials(self, tmp_path, capsys, command, values):
+        code, _, err = run(capsys, command, "--config", self.config_file(tmp_path),
+                           values, "0", "--dump-trials")
+        assert code == 1 and "--dump-trials" in err
+
     def test_config_required(self, capsys):
         code, _, _ = run(capsys, "experiment")
         assert code == 1

@@ -199,6 +199,26 @@ class TestSolveIlp:
                 assert mine.status == "infeasible"
 
 
+class TestIntegerRowCheck:
+    @pytest.mark.parametrize("coef, rhs", [(1.0, 2.5), (2.0, 3.0)])
+    def test_fractional_multiple_is_infeasible_at_the_root(self, coef, rhs):
+        rng = np.random.default_rng(7)
+        m = model(rng.integers(-5, 6, 24), np.full((1, 24), coef), ["=="], [rhs],
+                  integer=True)
+        got = solve_ilp(m, node_limit=1000)
+        assert got.status == "infeasible" and got.nodes_explored == 0
+        assert highs(m, integer=True)[0] == 2  # HiGHS: infeasible
+
+    def test_continuous_or_attainable_rows_still_branch(self):
+        m = model([1.0, 1.0, 0.0], [[1.0, 1.0, 1.0]], ["=="], [2.5])
+        m = MilpModel(m.objective, m.lower, m.upper, m.a_matrix, m.relations,
+                      m.rhs, np.array([True, True, False]))
+        got = solve_ilp(m)
+        assert got.status == "optimal" and got.objective_value == 2.0
+        got = solve_ilp(model([1.0, 1.0], [[2.0, 3.0]], ["=="], [5.0], integer=True))
+        assert got.status == "optimal" and got.objective_value == 2.0
+
+
 class TestKernelDifferential:
     """The pivot kernel against HiGHS on dense, general-bound LPs and on a
     real decoder ILP whose branch-and-bound search is pinned."""

@@ -1,18 +1,49 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gtprior.core import DefectivityVector
+from gtprior.harness import PRESETS, ExperimentConfig, sample_truth
 from gtprior.prior import (IsingPrior, ItemGraph, build_block, build_grid,
                            exact_marginals, gibbs_marginal_estimate,
                            gibbs_sample, gibbs_sample_ensemble, load_edge_list,
                            log_unnormalized_prob, log_unnormalized_prob_many,
                            perturb_edges, subsample_vertices)
+from gtprior.rng import generator
 
 
 def vec(*bits):
     return DefectivityVector(tuple(bits))
+
+
+def random_graph(rng, n_max, max_edges=None):
+    """A graph on 1..n_max vertices with a uniform random edge set of at most
+    ``max_edges(n)`` edges (any number when None)."""
+    n = int(rng.integers(1, n_max + 1))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    cap = len(pairs) if max_edges is None else min(len(pairs), max_edges(n))
+    chosen = rng.choice(len(pairs), int(rng.integers(0, cap + 1)), replace=False)
+    return ItemGraph(n, tuple(pairs[i] for i in chosen))
+
+
+def scalar_gibbs(prior, sweeps, seed):
+    """The systematic scan written site by site: the reference for the kernel."""
+    gen = generator(seed)
+    s = np.where(gen.random(prior.n) < 0.5, -1.0, 1.0)
+    nbrs = prior.graph.neighbor_lists()
+    for _ in range(sweeps):
+        draws = gen.random(prior.n)
+        for j in range(prior.n):
+            h = sum(prior.lam[e] * s[jp] for jp, e in nbrs[j]) - prior.phi[j]
+            try:
+                p1 = 1.0 / (1.0 + math.exp(-2.0 * h))
+            except OverflowError:
+                p1 = 0.0
+            s[j] = 1.0 if draws[j] < p1 else -1.0
+    return (s > 0).astype(np.uint8)
 
 
 class TestLogProb:
@@ -136,6 +167,39 @@ class TestGibbs:
         prior = IsingPrior.uniform(build_grid(3, 3), 0.1, 400.0)
         u = gibbs_sample(prior, 10, 1)
         assert u.n == 9 and u.k == 0
+
+    @pytest.mark.parametrize("name, graph, digest", [
+        ("ci-grid-10", None,
+         "7e0cd1ae004ed0d08bb7ac4e4900f24e7a8ea5b432289ce38b00c7077d1a5db1"),
+        ("full-grid-28", None,
+         "8883a294e62b2dc08670b7921633474148f35535058d44344e3290a1d463ae8f"),
+        ("full-block-28", None,
+         "aedc2bca121e10b3cb408ce2f4dc3525effa78f46c7d0f646a715f7b218ae737"),
+        ("ci-grid-10", {"kind": "grid", "rows": 14, "cols": 14},  # lp-grid-14
+         "643ed061e71c8b8f473a8448d03d9470c316e3233f43e7f8eb6aabdd1166d5a7"),
+    ])
+    def test_preset_truths_are_pinned(self, name, graph, digest):
+        config = dict(PRESETS[name], **({"graph": graph} if graph else {}))
+        bits = sample_truth(ExperimentConfig.from_dict(config)).to_numpy()
+        assert hashlib.sha256(bits.tobytes()).hexdigest() == digest
+
+    def test_kernel_matches_scalar_scan(self):
+        rng = np.random.default_rng(44)
+        for _ in range(40):
+            graph = random_graph(rng, 30, max_edges=lambda n: 3 * n)
+            prior = IsingPrior(graph, rng.normal(size=graph.num_edges),
+                               rng.normal(size=graph.n) * rng.choice([1.0, 800.0]))
+            sweeps, seed = int(rng.integers(1, 20)), int(rng.integers(1 << 30))
+            want = scalar_gibbs(prior, sweeps, seed)
+            assert (gibbs_sample(prior, sweeps, seed).to_numpy() == want).all()
+            assert (gibbs_sample_ensemble(prior, sweeps, 1, seed)[0] == want).all()
+
+    def test_extreme_field_ensemble_does_not_warn(self):
+        prior = IsingPrior.uniform(build_grid(3, 3), 0.1, 400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = gibbs_sample_ensemble(prior, 10, 4, seed=1)
+        assert states.shape == (4, 9) and not states.any()
 
     def test_sweeps_validation(self):
         prior = IsingPrior.uniform(ItemGraph(2, ()), 0.0, 0.0)
@@ -263,3 +327,40 @@ class TestPerturbEdges:
         g = build_grid(4, 4)
         assert perturb_edges(g, 0.25, seed=5).edges == \
             perturb_edges(g, 0.25, seed=5).edges
+
+    @staticmethod
+    def reference(g, fraction, seed):
+        """The perturbation computed from an explicit list of every non-edge."""
+        r = int(round(fraction * g.num_edges))
+        if r == 0:
+            return g.edges
+        edge_set = set(g.edges)
+        non_edges = [(j, jp) for j in range(g.n) for jp in range(j + 1, g.n)
+                     if (j, jp) not in edge_set]
+        if r > len(non_edges):
+            return f"cannot add {r} edges: only {len(non_edges)} non-edges exist"
+        gen = generator(seed)
+        drop = set(gen.choice(g.num_edges, size=r, replace=False).tolist())
+        kept = [e for i, e in enumerate(g.edges) if i not in drop]
+        kept.extend(non_edges[int(i)]
+                    for i in gen.choice(len(non_edges), size=r, replace=False))
+        return ItemGraph(g.n, tuple(kept)).edges
+
+    def test_matches_non_edge_enumeration(self):
+        rng = np.random.default_rng(9)
+        for _ in range(150):
+            g = random_graph(rng, 24)
+            fraction = float(rng.choice([0.1, 0.5, 1.0, rng.random()]))
+            seed = int(rng.integers(1000))
+            want = self.reference(g, fraction, seed)
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=want):
+                    perturb_edges(g, fraction, seed)
+            else:
+                assert perturb_edges(g, fraction, seed).edges == want
+
+    def test_large_sparse_graph(self):
+        g = ItemGraph(200_000, tuple((j, j + 1) for j in range(199_999)))
+        h = perturb_edges(g, 0.5, seed=3)
+        assert h.num_edges == g.num_edges
+        assert len(set(h.edges) - set(g.edges)) == 100_000
