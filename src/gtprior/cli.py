@@ -8,6 +8,7 @@ mismatch-graph, mismatch-lambda.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -73,17 +74,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="emit a Bernoulli test design")
+    p.set_defaults(run=_cmd_design)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
 
     p = sub.add_parser("sample-prior", help="Gibbs-sample a defectivity vector")
+    p.set_defaults(run=_cmd_sample_prior)
     _add_graph_flags(p)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--sweeps", type=int, default=1000)
 
     p = sub.add_parser("decode", help="decode outcomes against a design")
+    p.set_defaults(run=_cmd_decode)
     p.add_argument("--design", type=str, required=True,
                    help="design file (CSV or JSON serialization)")
     p.add_argument("--outcomes", type=str, required=True,
@@ -97,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=None)
 
     p = sub.add_parser("bounds", help="evaluate the test-count bound formulas")
+    p.set_defaults(run=_cmd_bounds)
     p.add_argument("--alpha-star", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--nu", type=float, default=None)
@@ -107,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("experiment", "mismatch-graph", "mismatch-lambda"):
         p = sub.add_parser(name)
+        p.set_defaults(run=_cmd_experiment if name == "experiment" else _cmd_mismatch)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--preset", type=str, default=None,
                        choices=sorted(PRESETS))
@@ -183,12 +189,8 @@ def _cmd_bounds(args) -> None:
     query = bounds_mod.BoundQuery(alpha_star=args.alpha_star, beta=args.beta,
                                   nu=args.nu, n=args.n, k=args.k)
     res = bounds_mod.evaluate(query)
-    payload = {
-        "alpha_star": args.alpha_star, "beta": args.beta,
-        "coefficient": res.coefficient, "converse": res.converse,
-        "rate_s": res.rate_s, "rate_nk": res.rate_nk, "nu_used": res.nu_used,
-        "tests": res.tests, "extra_log_term": res.extra_log_term,
-    }
+    payload = {"alpha_star": args.alpha_star, "beta": args.beta,
+               **dataclasses.asdict(res)}
     _write(json.dumps(payload, indent=2) + "\n", args.out)
 
 
@@ -201,9 +203,9 @@ def _cmd_experiment(args) -> None:
         sys.stdout.write(render_report(report, args.format, args.dump_trials))
 
 
-def _cmd_mismatch(args, kind: str) -> None:
+def _cmd_mismatch(args) -> None:
     config = _load_config(args)
-    if kind == "graph":
+    if args.command == "mismatch-graph":
         values = [float(v) for v in args.fractions.split(",") if v]
         blocks = run_graph_mismatch(config, values)
         label = "fraction"
@@ -220,22 +222,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "design":
-            _cmd_design(args)
-        elif args.command == "sample-prior":
-            _cmd_sample_prior(args)
-        elif args.command == "decode":
-            _cmd_decode(args)
-        elif args.command == "bounds":
-            _cmd_bounds(args)
-        elif args.command == "experiment":
-            _cmd_experiment(args)
-        elif args.command == "mismatch-graph":
-            _cmd_mismatch(args, "graph")
-        elif args.command == "mismatch-lambda":
-            _cmd_mismatch(args, "lambda")
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command!r}")
+        args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -104,19 +104,16 @@ class ErrorReport:
     """False positive / false negative counts and their k-normalized rates.
 
     Rates are ``None`` when the truth has no defectives (k = 0); the counts
-    are still valid.  ``wall_time`` holds the decode wall time in seconds so
-    experiment reports can reproduce timing curves without a separate type.
+    are still valid.
     """
 
     fp: int
     fn: int
     fp_rate: Optional[float]
     fn_rate: Optional[float]
-    wall_time: float = 0.0
 
 
-def count_fp_fn(truth: DefectivityVector, estimate: DefectivityVector,
-                wall_time: float = 0.0) -> ErrorReport:
+def count_fp_fn(truth: DefectivityVector, estimate: DefectivityVector) -> ErrorReport:
     """Count false positives/negatives of ``estimate`` against ``truth``.
 
     fp = items marked defective that are not; fn = defectives missed.
@@ -128,8 +125,8 @@ def count_fp_fn(truth: DefectivityVector, estimate: DefectivityVector,
     fn = sum(1 for a, b in zip(truth.bits, estimate.bits) if b == 0 and a == 1)
     k = truth.k
     if k == 0:
-        return ErrorReport(fp, fn, None, None, wall_time)
-    return ErrorReport(fp, fn, fp / k, fn / k, wall_time)
+        return ErrorReport(fp, fn, None, None)
+    return ErrorReport(fp, fn, fp / k, fn / k)
 
 
 def approx_distance(a: DefectiveSet, b: DefectiveSet) -> int:

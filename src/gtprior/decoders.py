@@ -39,8 +39,8 @@ import numpy as np
 from .core import DefectiveSet, DefectivityVector
 from .milp import MilpModel, solve_ilp, solve_lp
 from .prior import (_CHUNK_BITS, _ENUM_LIMIT, IsingPrior, _config_chunk,
-                    log_unnormalized_prob, log_unnormalized_prob_many)
-from .testing import NoiseSpec, OutcomeVector, TestDesign, noiseless_outcomes
+                    log_unnormalized_prob_many)
+from .testing import NoiseSpec, OutcomeVector, TestDesign
 
 
 class ModelViolationError(ValueError):
@@ -278,8 +278,7 @@ def build_model(spec: DecoderSpec, design: TestDesign, y: OutcomeVector) -> Milp
                                         spec.eta, spec.relaxed)
 
 
-def decode(spec: DecoderSpec, design: TestDesign, y: OutcomeVector,
-           node_limit: int = 200_000) -> DecodeResult:
+def decode(spec: DecoderSpec, design: TestDesign, y: OutcomeVector) -> DecodeResult:
     """Build the model for ``spec``, solve it, and round if relaxed.
 
     Auxiliary variables (edge products, flip indicators) are discarded.
@@ -291,7 +290,7 @@ def decode(spec: DecoderSpec, design: TestDesign, y: OutcomeVector,
     if spec.relaxed:
         sol = solve_lp(model)
     else:
-        sol = solve_ilp(model, node_limit=node_limit)
+        sol = solve_ilp(model)
     wall = time.perf_counter() - start
     if sol.x is None:
         return DecodeResult(None, None, sol.status, sol.nodes_explored, wall, spec)
@@ -307,14 +306,22 @@ def map_score(prior: IsingPrior, u: DefectivityVector, design: TestDesign,
     Noiseless: log prior when u is outcome-consistent, else -inf.
     Noisy: log prior + (#flips) * log(rho / (1-rho)).
     """
-    logp = log_unnormalized_prob(prior, u)
-    clean = noiseless_outcomes(design, u)
+    if u.n != prior.n:
+        raise ValueError(f"dimension mismatch: u.n={u.n}, prior n={prior.n}")
+    if design.n != u.n:
+        raise ValueError(f"dimension mismatch: design n={design.n}, u.n={u.n}")
+    return float(_posterior_scores(prior, u.to_numpy()[None], design, y, noise)[0])
+
+
+def _posterior_scores(prior: IsingPrior, configs: np.ndarray, design: TestDesign,
+                      y: OutcomeVector, noise: NoiseSpec) -> np.ndarray:
+    """:func:`map_score` of each row of a ``(configs, n)`` 0/1 array."""
+    scores = log_unnormalized_prob_many(prior, configs)
+    clean = configs.astype(np.int64) @ design.matrix.astype(np.int64).T >= 1
+    mismatch = clean != y.to_numpy()
     if noise.is_noisy:
-        flips = int((clean != y.to_numpy()).sum())
-        return logp + flips * math.log(noise.rho / (1.0 - noise.rho))
-    if (clean != y.to_numpy()).any():
-        return -math.inf
-    return logp
+        return scores + math.log(noise.rho / (1.0 - noise.rho)) * mismatch.sum(axis=1)
+    return np.where(mismatch.any(axis=1), -np.inf, scores)
 
 
 def brute_force_map(design: TestDesign, y: OutcomeVector, prior: IsingPrior,
@@ -329,27 +336,12 @@ def brute_force_map(design: TestDesign, y: OutcomeVector, prior: IsingPrior,
         raise ValueError(f"brute_force_map needs n <= {_ENUM_LIMIT}, got {n}")
     if prior.n != n:
         raise ValueError("prior and design disagree on the item count")
-    x_t = design.matrix.astype(np.int64).T
-    y_arr = y.to_numpy()
-    noisy = noise.is_noisy
-    flip_cost = math.log(noise.rho / (1.0 - noise.rho)) if noisy else 0.0
     best_score = -math.inf
     best_bits = None
     chunk = 1 << min(n, _CHUNK_BITS)
     for start in range(0, 1 << n, chunk):
         configs = _config_chunk(n, start, min(start + chunk, 1 << n))
-        scores = log_unnormalized_prob_many(prior, configs)
-        hits = configs.astype(np.int64) @ x_t
-        if noisy:
-            flips = ((hits >= 1).astype(np.uint8) != y_arr).sum(axis=1)
-            scores = scores + flip_cost * flips
-        else:
-            ok = np.ones(len(configs), dtype=bool)
-            if (y_arr == 0).any():
-                ok &= (hits[:, y_arr == 0] == 0).all(axis=1)
-            if (y_arr == 1).any():
-                ok &= (hits[:, y_arr == 1] >= 1).all(axis=1)
-            scores = np.where(ok, scores, -np.inf)
+        scores = _posterior_scores(prior, configs, design, y, noise)
         i = int(np.argmax(scores))
         if scores[i] > best_score:
             best_score = float(scores[i])

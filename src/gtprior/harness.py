@@ -246,13 +246,12 @@ def sample_truth(config: ExperimentConfig, graph: Optional[ItemGraph] = None
 
 def run_experiment(config: ExperimentConfig,
                    design_factory: Optional[Callable] = None,
-                   decoder_graph: Optional[ItemGraph] = None,
-                   decoder_priors: Optional[dict] = None) -> ExperimentReport:
+                   decoder_graph: Optional[ItemGraph] = None) -> ExperimentReport:
     """Run the full trial protocol and aggregate the error metrics.
 
     ``design_factory(t, n, p, seed)`` is a test hook replacing Bernoulli
-    designs.  ``decoder_graph``/``decoder_priors`` let the mismatch sweeps
-    hand decoders an assumed prior differing from the truth's.
+    designs.  ``decoder_graph`` lets the graph-mismatch sweep hand decoders
+    an assumed prior differing from the truth's.
     """
     truth_graph = config.graph.build(config.base_seed)
     truth = sample_truth(config, truth_graph)
@@ -261,20 +260,17 @@ def run_experiment(config: ExperimentConfig,
         raise ValueError("sampled truth has no defectives; set an explicit p")
     p = config.p if config.p is not None else math.log(2.0) / k
     q = k / truth.n if truth.n else 0.0
-    factory = design_factory or (lambda t, n, pp, seed: bernoulli_design(t, n, pp, seed))
+    factory = design_factory or bernoulli_design
 
     graph_for_decoding = decoder_graph if decoder_graph is not None else truth_graph
     records: List[TrialRecord] = []
     for t in config.tests:
         for rho in config.rho:
             for dec in config.decoders:
-                if decoder_priors is not None and dec in decoder_priors:
-                    assumed = decoder_priors[dec]
-                else:
-                    assumed = IsingPrior.uniform(
-                        graph_for_decoding,
-                        dec.lam if dec.lam is not None else config.lam,
-                        dec.phi if dec.phi is not None else config.phi)
+                assumed = IsingPrior.uniform(
+                    graph_for_decoding,
+                    dec.lam if dec.lam is not None else config.lam,
+                    dec.phi if dec.phi is not None else config.phi)
                 spec = decoder_spec(dec.family, dec.relaxed, rho, dec.eta,
                                     assumed, q)
                 for trial in range(config.trials):
@@ -291,13 +287,13 @@ def run_experiment(config: ExperimentConfig,
                             status=f"failed:{result.solver_status}",
                             design_seed=dseed))
                         continue
-                    rep = count_fp_fn(truth, result.estimate, result.wall_time)
+                    rep = count_fp_fn(truth, result.estimate)
                     records.append(TrialRecord(
                         t, rho, dec.family, dec.relaxed, trial,
                         fp=rep.fp, fn=rep.fn,
                         fp_rate=rep.fp_rate if rep.fp_rate is not None else 0.0,
                         fn_rate=rep.fn_rate if rep.fn_rate is not None else 0.0,
-                        time_s=rep.wall_time, status="ok", design_seed=dseed))
+                        time_s=result.wall_time, status="ok", design_seed=dseed))
     rows = _aggregate(records, config.trials)
     metadata = {
         "config": config.to_dict(),

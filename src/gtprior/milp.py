@@ -24,11 +24,15 @@ Implementation notes and defaults:
   a multiple of the gcd of its coefficients, so a rhs that is not (within
   the feasibility tolerance) proves the model infeasible with 0 nodes.
   Rows touching a continuous variable are skipped.
-* Tolerances (all overridable): feasibility 1e-9, integrality 1e-6,
-  bound-pruning 1e-7.
-* Solutions reported optimal are re-checked for feasibility before being
-  returned; irrecoverable numerical trouble raises :class:`NumericalError`
-  rather than returning a silently wrong answer.
+* Tolerances are fixed: feasibility 1e-9, integrality 1e-6, bound-pruning
+  1e-7.
+* Every LP solve, the root relaxation and each branch-and-bound node alike,
+  goes through one certified solve: an optimal point is re-checked for
+  feasibility against the model before it is used, and an incumbent is
+  re-checked after rounding.  Irrecoverable numerical trouble raises
+  :class:`NumericalError` rather than returning a silently wrong answer;
+  that includes a non-finite constraint matrix and a simplex ray, which
+  finite bounds rule out.
 """
 
 from __future__ import annotations
@@ -87,6 +91,8 @@ class MilpModel:
             raise ValueError(f"relations must be one of {_RELATIONS}")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("bounds must be finite")
+        if not (np.isfinite(c).all() and np.isfinite(b).all()):
+            raise ValueError("objective and rhs must be finite")
         if (lo < 0).any() or (lo > hi).any():
             raise ValueError("need 0 <= lo <= hi for every variable")
         for arr in (c, lo, hi, a, b, mask):
@@ -110,7 +116,7 @@ class MilpModel:
 
 @dataclass(frozen=True)
 class MilpSolution:
-    """Solver outcome: status in {optimal, infeasible, unbounded, node_limit}."""
+    """Solver outcome: status in {optimal, infeasible, node_limit}."""
 
     status: str
     x: Optional[np.ndarray]
@@ -158,73 +164,53 @@ def dump_model(model: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _simplex(c, a, rel, b, lo, hi, feas_tol):
-    """Two-phase bounded-variable simplex on min c.x, A x rel b, lo<=x<=hi.
+def _simplex(model: MilpModel, lo, hi):
+    """Two-phase bounded-variable simplex on min c.x, A x rel b, lo<=x<=hi
+    for the rows and objective of ``model`` and the bounds ``lo``, ``hi``.
 
-    Returns (status, x) with status in {optimal, infeasible, unbounded}.
+    Returns (status, x) with status in {optimal, infeasible}.
     """
+    c, a = model.objective, model.a_matrix
     n = c.shape[0]
     ub = hi - lo
-    shift = a @ lo if a.shape[0] else np.zeros(0)
-    b_eff = b - shift
+    b_eff = model.rhs - a @ lo
+    rel = np.asarray(model.relations, dtype=str)
+    sense = (rel == "<=").astype(np.intp) - (rel == ">=")  # +1 <=, 0 ==, -1 >=
 
-    # Drop rows with no coefficients after checking their satisfiability.
-    keep, rels = [], []
-    for i in range(a.shape[0]):
-        if np.any(a[i]):
-            keep.append(i)
-            rels.append(rel[i])
-        else:
-            r, rhs_i = rel[i], b_eff[i]
-            bad = ((r == "<=" and rhs_i < -feas_tol)
-                   or (r == ">=" and rhs_i > feas_tol)
-                   or (r == "==" and abs(rhs_i) > feas_tol))
-            if bad:
-                return "infeasible", None
-    a = a[keep]
-    b_eff = b_eff[keep]
+    # Drop rows with no coefficients after checking their satisfiability:
+    # "0 rel b" is violated by -b (<=), b (>=) or |b| (==).
+    empty = ~a.any(axis=1)
+    violation = np.where(sense, -sense * b_eff, np.abs(b_eff))
+    if (violation[empty] > FEASIBILITY_TOL).any():
+        return "infeasible", None
+    a, b_eff, sense = a[~empty], b_eff[~empty], sense[~empty]
     m = a.shape[0]
 
-    # Normalize to nonnegative rhs, then append slack/surplus and artificials.
-    rows = []
-    senses = []
-    for i in range(m):
-        row, rhs_i, r = a[i], b_eff[i], rels[i]
-        if rhs_i < 0:
-            row, rhs_i = -row, -rhs_i
-            r = {"<=": ">=", ">=": "<=", "==": "=="}[r]
-        rows.append(row)
-        senses.append(r)
-        b_eff[i] = rhs_i
-    n_slack = sum(1 for r in senses if r != "==")
-    n_art = sum(1 for r in senses if r != "<=")
+    # Negate rows with negative rhs (and their sense; the kept rows are
+    # copies), then give every inequality a slack (+1 for <=, -1 for >=) and
+    # every row that is not <= an artificial, both in row order.
+    neg = b_eff < 0
+    np.negative(a, out=a, where=neg[:, None])
+    np.negative(b_eff, out=b_eff, where=neg)
+    np.negative(sense, out=sense, where=neg)
+    slack_rows = np.flatnonzero(sense != 0)
+    art_rows = np.flatnonzero(sense != 1)
+    n_slack, n_art = slack_rows.size, art_rows.size
     total = n + n_slack + n_art
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(n_art)
     # Transposed tableau: tab_t[j, i] is row i, column j, so each column
     # (the entering one, or one the pivot row touches) is contiguous.
     tab_t = np.zeros((total, m))
-    if m:
-        tab_t[:n] = np.vstack(rows).T
+    tab_t[:n] = a.T
+    tab_t[slack_cols, slack_rows] = sense[slack_rows]
+    tab_t[art_cols, art_rows] = 1.0
     col_ub = np.concatenate([ub, np.full(n_slack + n_art, np.inf)])
     is_art = np.zeros(total, dtype=bool)
+    is_art[art_cols] = True
     basis = np.empty(m, dtype=np.intp)
-    s_at, a_at = n, n + n_slack
-    for i, r in enumerate(senses):
-        if r == "<=":
-            tab_t[s_at, i] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        elif r == ">=":
-            tab_t[s_at, i] = -1.0
-            s_at += 1
-            tab_t[a_at, i] = 1.0
-            is_art[a_at] = True
-            basis[i] = a_at
-            a_at += 1
-        else:
-            tab_t[a_at, i] = 1.0
-            is_art[a_at] = True
-            basis[i] = a_at
-            a_at += 1
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
 
     x_b = b_eff.copy()
     at_upper = np.zeros(total, dtype=bool)
@@ -235,8 +221,7 @@ def _simplex(c, a, rel, b, lo, hi, feas_tol):
     z2 = np.zeros(total)
     z2[:n] = c
     z1 = np.zeros(total)
-    art_rows = [i for i in range(m) if is_art[basis[i]]]
-    if art_rows:
+    if n_art:
         # Row-major copy, so the sum runs in the same order as on the
         # untransposed tableau.
         z1 -= np.ascontiguousarray(tab_t[:, art_rows].T).sum(axis=0)
@@ -256,12 +241,12 @@ def _simplex(c, a, rel, b, lo, hi, feas_tol):
         nonlocal x_b
         iters = 0
         while True:
-            if phase == 1 and infeasibility() <= feas_tol * scale:
-                return "done"
+            if phase == 1 and infeasibility() <= FEASIBILITY_TOL * scale:
+                return
             cand_low = (~in_basis) & (~at_upper) & (col_ub > tol_piv) & (z < -tol_d)
             cand_up = (~in_basis) & at_upper & (z > tol_d)
             if not (cand_low.any() or cand_up.any()):
-                return "done"
+                return
             if iters > max_iter:
                 raise NumericalError("simplex iteration limit exceeded")
             bland = iters > bland_after
@@ -288,7 +273,8 @@ def _simplex(c, a, rel, b, lo, hi, feas_tol):
             row_min = float(limits.min()) if m else np.inf
             delta = min(row_min, col_ub[e])
             if not np.isfinite(delta):
-                return "unbounded"
+                # Every variable is bounded, so a ray is numerical trouble.
+                raise NumericalError("simplex found no blocking row or bound")
             delta = max(delta, 0.0)
             if col_ub[e] <= row_min + 1e-12 and np.isfinite(col_ub[e]):
                 # Bound flip: no basis change.
@@ -330,44 +316,39 @@ def _simplex(c, a, rel, b, lo, hi, feas_tol):
             np.clip(x_b, 0.0, None, out=x_b)
             iters += 1
 
-    if infeasibility() > feas_tol * scale:
-        status = run_phase(z1, phase=1)
-        if status == "unbounded":
-            raise NumericalError("phase-1 reported unbounded")
+    if infeasibility() > FEASIBILITY_TOL * scale:
+        run_phase(z1, phase=1)
         if infeasibility() > 1e-7 * scale:
             return "infeasible", None
     col_ub[is_art] = 0.0  # artificials may never re-enter
 
-    status = run_phase(z2, phase=2)
-    if status == "unbounded":
-        return "unbounded", None
-
+    run_phase(z2, phase=2)
     x_full = np.where(at_upper & np.isfinite(col_ub), col_ub, 0.0)
     x_full[basis] = x_b
     return "optimal", lo + x_full[:n]
 
 
-def _lp_arrays(c, a, rel, b, lo, hi, constant, feas_tol):
-    status, x = _simplex(c, a, rel, b, lo, hi, feas_tol)
+def _solve_node(model: MilpModel, lo: np.ndarray, hi: np.ndarray) -> MilpSolution:
+    """The LP over ``model``'s rows at the bounds ``lo``, ``hi``; an optimal
+    point has passed the feasibility re-check against ``model``."""
+    status, x = _simplex(model, lo, hi)
     if status != "optimal":
         return MilpSolution(status, None, None)
-    return MilpSolution("optimal", x, float(c @ x) + constant)
+    if feasibility_violation(model, x) > FEASIBILITY_TOL:
+        raise NumericalError("optimal LP solution failed the feasibility re-check")
+    return MilpSolution("optimal", x, float(model.objective @ x) + model.objective_constant)
 
 
-def solve_lp(model: MilpModel, feas_tol: float = FEASIBILITY_TOL) -> MilpSolution:
+def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation (integer marks ignored).
 
     The returned solution, when optimal, has passed an independent
-    feasibility re-check at ``feas_tol``.
+    feasibility re-check at ``FEASIBILITY_TOL``.
     """
-    sol = _lp_arrays(model.objective, model.a_matrix, model.relations, model.rhs,
-                     model.lower, model.upper, model.objective_constant, feas_tol)
-    if sol.status == "optimal" and feasibility_violation(model, sol.x) > feas_tol:
-        raise NumericalError("optimal LP solution failed the feasibility re-check")
-    return sol
+    return _solve_node(model, model.lower, model.upper)
 
 
-def _integer_row_infeasible(model: MilpModel, feas_tol: float) -> bool:
+def _integer_row_infeasible(model: MilpModel) -> bool:
     """True when some ``==`` row has integer coefficients on integer variables
     only and a rhs that is no integer multiple of their gcd."""
     eq = np.flatnonzero(np.asarray(model.relations) == "==")
@@ -379,18 +360,15 @@ def _integer_row_infeasible(model: MilpModel, feas_tol: float) -> bool:
         return False
     g = np.gcd.reduce(np.abs(a[ok]).astype(np.int64), axis=1)
     b = model.rhs[eq[ok]]
-    return bool((np.abs(b - g * np.round(b / g)) > feas_tol).any())
+    return bool((np.abs(b - g * np.round(b / g)) > FEASIBILITY_TOL).any())
 
 
-def solve_ilp(model: MilpModel, node_limit: int = 200_000,
-              int_tol: float = INTEGRALITY_TOL, prune_tol: float = PRUNE_TOL,
-              feas_tol: float = FEASIBILITY_TOL) -> MilpSolution:
+def solve_ilp(model: MilpModel, node_limit: int = 200_000) -> MilpSolution:
     """Branch-and-bound over the LP relaxation for 0/1 integer variables."""
     int_idx = np.flatnonzero(model.integer_mask)
-    for j in int_idx:
-        if model.lower[j] not in (0.0, 1.0) or model.upper[j] not in (0.0, 1.0):
-            raise ValueError("integer variables must have 0/1 bounds")
-    if _integer_row_infeasible(model, feas_tol):
+    if not np.isin(np.stack([model.lower, model.upper])[:, int_idx], (0.0, 1.0)).all():
+        raise ValueError("integer variables must have 0/1 bounds")
+    if _integer_row_infeasible(model):
         return MilpSolution("infeasible", None, None, 0)
     c = model.objective
     best_x = None
@@ -402,19 +380,15 @@ def solve_ilp(model: MilpModel, node_limit: int = 200_000,
             obj = best_obj if best_x is not None else None
             return MilpSolution("node_limit", best_x, obj, nodes)
         lo, hi = stack.pop()
-        sol = _lp_arrays(c, model.a_matrix, model.relations, model.rhs, lo, hi,
-                         model.objective_constant, feas_tol)
+        sol = _solve_node(model, lo, hi)
         nodes += 1
         if sol.status == "infeasible":
             continue
-        if sol.status != "optimal":
-            raise NumericalError(f"LP relaxation returned {sol.status}")
-        if sol.objective_value >= best_obj - prune_tol:
+        if sol.objective_value >= best_obj - PRUNE_TOL:
             continue
         x = sol.x
-        frac = np.abs(x[int_idx] - np.round(x[int_idx])) if int_idx.size else \
-            np.zeros(0)
-        if not int_idx.size or frac.max(initial=0.0) <= int_tol:
+        frac = np.abs(x[int_idx] - np.round(x[int_idx]))
+        if frac.max(initial=0.0) <= INTEGRALITY_TOL:
             x_r = x.copy()
             x_r[int_idx] = np.round(x_r[int_idx])
             if feasibility_violation(model, x_r) <= 1e-7:
@@ -425,7 +399,7 @@ def solve_ilp(model: MilpModel, node_limit: int = 200_000,
                 continue
             j = int(int_idx[np.argmax(frac)])
         else:
-            fractional = frac > int_tol
+            fractional = frac > INTEGRALITY_TOL
             cands = int_idx[fractional]
             dist = np.abs((x[cands] - np.floor(x[cands])) - 0.5)
             j = int(cands[np.argmin(dist)])

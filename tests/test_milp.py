@@ -144,6 +144,24 @@ class TestSolveIlp:
         s = solve_ilp(m, node_limit=1)
         assert s.status == "node_limit"
 
+    def test_nan_node_point_fails_the_recheck(self, monkeypatch):
+        monkeypatch.setattr(milp, "_simplex",
+                            lambda *args: ("optimal", np.array([np.nan, 0.0])))
+        with pytest.raises(NumericalError):
+            solve_ilp(model([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], integer=True))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_non_finite_matrix_entry_raises(self, bad, integer):
+        a = np.array([[1.0, 1.0, 1.0], [1.0, bad, 0.0], [0.0, 1.0, 1.0]])
+        m = model([1.0, 2.0, -1.0], a, [">=", "<=", "=="], [1.0, 0.5, 1.0],
+                  integer=integer)
+        with pytest.raises(NumericalError):
+            solve_lp(m)
+        with pytest.raises(NumericalError):
+            solve_ilp(m, node_limit=1000)
+
     def test_fuzz_against_enumeration(self):
         rng = np.random.default_rng(100)
         for _ in range(200):
@@ -219,6 +237,28 @@ class TestIntegerRowCheck:
         assert got.status == "optimal" and got.objective_value == 2.0
 
 
+class TestEmptyRows:
+    """Rows with no coefficients read "0 rel rhs": an unsatisfiable one makes
+    the model infeasible, a satisfiable one is dropped."""
+
+    @pytest.mark.parametrize("rel, rhs, feasible", [
+        ("<=", -1.0, False), (">=", 1.0, False), ("==", 0.5, False),
+        ("<=", 1.0, True), (">=", -1.0, True), ("==", 0.0, True)])
+    @pytest.mark.parametrize("beside_real_rows", [False, True])
+    def test_empty_row_matches_highs(self, rel, rhs, feasible, beside_real_rows):
+        rows, rels, b = [[0.0, 0.0]], [rel], [rhs]
+        if beside_real_rows:
+            rows = [[1.0, 1.0]] + rows + [[1.0, -1.0]]
+            rels, b = [">="] + rels + ["<="], [1.0] + b + [-0.5]
+        m = model([1.0, 2.0], rows, rels, b)
+        got = solve_lp(m)
+        status, fun = highs(m)
+        assert status == (0 if feasible else 2)
+        assert got.status == ("optimal" if feasible else "infeasible")
+        if feasible:
+            assert got.objective_value == pytest.approx(fun, abs=1e-9)
+
+
 class TestKernelDifferential:
     """The pivot kernel against HiGHS on dense, general-bound LPs and on a
     real decoder ILP whose branch-and-bound search is pinned."""
@@ -250,7 +290,10 @@ class TestKernelDifferential:
             seen.add(mine.status)
         assert seen == {"optimal", "infeasible"}
 
-    def test_ci_grid_ising_map_search_is_pinned(self):
+    @pytest.mark.parametrize("trial, nodes", [
+        (0, 1), (1, 13), (2, 1), (3, 1), (4, 1), (5, 1), (6, 3), (7, 3), (8, 1),
+        (9, 1)])
+    def test_ci_grid_ising_map_search_is_pinned(self, trial, nodes):
         from gtprior.decoders import DecoderSpec, build_model
         from gtprior.harness import PRESETS, ExperimentConfig, sample_truth
         from gtprior.prior import IsingPrior
@@ -261,13 +304,13 @@ class TestKernelDifferential:
         graph = config.graph.build(config.base_seed)
         truth = sample_truth(config, graph)
         design = bernoulli_design(60, truth.n, np.log(2.0) / truth.k,
-                                  derive_seed(config.base_seed, "design", 1))
+                                  derive_seed(config.base_seed, "design", trial))
         y = run_tests(design, truth, NoiseSpec(),
-                      derive_seed(config.base_seed, "noise", 1, 0.0))
+                      derive_seed(config.base_seed, "noise", trial, 0.0))
         prior = IsingPrior.uniform(graph, config.lam, config.phi)
         mdl = build_model(DecoderSpec("ising_map", prior=prior), design, y)
         sol = solve_ilp(mdl)
-        assert sol.status == "optimal" and sol.nodes_explored == 13
+        assert sol.status == "optimal" and sol.nodes_explored == nodes
         status, fun = highs(mdl, integer=True)
         assert status == 0
         assert abs(sol.objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
@@ -279,6 +322,13 @@ class TestModelValidation:
             model([1.0], [[1.0]], ["<="], [1.0], lo=[0.5], hi=[0.2])
         with pytest.raises(ValueError):
             model([1.0], [[1.0]], ["<="], [1.0], lo=[0.0], hi=[np.inf])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_objective_and_rhs_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            model([1.0, bad], [[1.0, 1.0]], ["<="], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            model([1.0, 1.0], [[1.0, 1.0]], ["<="], [bad])
 
     def test_bad_relation(self):
         with pytest.raises(ValueError):
