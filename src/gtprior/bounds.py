@@ -24,7 +24,6 @@ class BoundQuery:
 
     alpha_star: float
     beta: float
-    theta: Optional[float] = None
     nu: Optional[float] = None
     n: Optional[int] = None
     k: Optional[int] = None
@@ -36,8 +35,6 @@ class BoundQuery:
             raise ValueError("beta must lie in (0, 1)")
         if self.nu is not None and self.nu <= 0:
             raise ValueError("nu must be positive")
-        if self.theta is not None and not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must lie in (0, 1)")
         if (self.n is None) != (self.k is None):
             raise ValueError("supply n and k together")
         if self.n is not None and not (1 <= self.k < self.n):

@@ -94,10 +94,6 @@ class DefectiveSet:
             bits[j] = 1
         return DefectivityVector(tuple(bits))
 
-    @classmethod
-    def from_vector(cls, u: DefectivityVector) -> "DefectiveSet":
-        return u.support()
-
 
 @dataclass(frozen=True)
 class ErrorReport:

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DefectiveSet, DefectivityVector
+from .core import DefectiveSet, DefectivityVector, approx_distance
 from .milp import MilpModel, solve_ilp, solve_lp
 from .prior import (_CHUNK_BITS, _ENUM_LIMIT, IsingPrior, _config_chunk,
                     log_unnormalized_prob_many)
@@ -366,10 +366,8 @@ def info_density(design: TestDesign, y: OutcomeVector, s_dif: DefectiveSet,
         raise ValueError("p must lie in (0, 1)")
     x = design.matrix
     y_arr = y.to_numpy().astype(bool)
-    hit_dif = x[:, list(s_dif.members)].any(axis=1) if s_dif.k else \
-        np.zeros(design.t, dtype=bool)
-    hit_eq = x[:, list(s_eq.members)].any(axis=1) if s_eq.k else \
-        np.zeros(design.t, dtype=bool)
+    hit_dif = x[:, list(s_dif.members)].any(axis=1)
+    hit_eq = x[:, list(s_eq.members)].any(axis=1)
     if ((hit_dif | hit_eq) != y_arr).any():
         raise ModelViolationError("observed outcome has zero probability under "
                                   "the noiseless model for this candidate")
@@ -395,11 +393,9 @@ def n_tau_counts(family: CandidateFamily) -> np.ndarray:
     distance from some member (pairwise distances over the explicit family)."""
     k = family.k
     counts = np.zeros((len(family.sets), k + 1), dtype=np.int64)
-    members = [set(s.members) for s in family.sets]
-    for i, si in enumerate(members):
-        for sj in members:
-            tau = max(len(si - sj), len(sj - si))
-            counts[i, tau] += 1
+    for i, si in enumerate(family.sets):
+        for sj in family.sets:
+            counts[i, approx_distance(si, sj)] += 1
     return counts.max(axis=0)
 
 
@@ -461,8 +457,7 @@ def threshold_decode(family: CandidateFamily, design: TestDesign,
                     density = -math.inf
                 else:
                     eq_pos = [i for i in range(k) if i not in dif_pos]
-                    hit_eq = inc[:, eq_pos].any(axis=1) if eq_pos else \
-                        np.zeros(design.t, dtype=bool)
+                    hit_eq = inc[:, eq_pos].any(axis=1)
                     density = _density_sum(y_arr, hit_eq, tau, p)
                 if not density >= gamma:
                     accepted = False

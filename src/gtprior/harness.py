@@ -12,6 +12,10 @@ under mismatch, or a node limit hit even when it left an incumbent) are
 recorded with the fp_rate = fn_rate = 1.0 convention, flagged in the trial
 dump and counted in the row's failures; they are never silently dropped.
 
+The config schema is the field order of :class:`ExperimentConfig`,
+:class:`GraphConfig` (``kind`` plus that kind's fields) and
+:class:`DecoderConfig`; ``from_dict`` rejects unknown and missing keys.
+
 Report columns are the fields of :class:`AggregateRow` (summary) and
 :class:`TrialRecord` (trial dump) in declaration order; ``include_times``
 drops ``time_s``, and CSV cells write booleans as 0/1.
@@ -21,8 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import List, Optional, Sequence, Tuple
 
 from .core import DefectivityVector, count_fp_fn
 from .decoders import decode, decoder_spec
@@ -31,6 +35,26 @@ from .prior import (IsingPrior, ItemGraph, build_block, build_grid,
                     subsample_vertices)
 from .rng import RNG_ID, derive_seed
 from .testing import bernoulli_design, run_tests
+
+
+def _from_dict(cls, obj):
+    """``cls(**obj)`` for a JSON object; a non-object, an unknown key or a
+    missing required key is a ValueError naming them."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, not {type(obj).__name__}")
+    unknown = sorted(map(str, obj.keys() - {f.name for f in fields(cls)}))
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    if unknown or missing:
+        raise ValueError(f"{cls.__name__}: unknown keys {unknown}, missing keys {missing}")
+    return cls(**obj)
+
+
+# Each graph kind's fields, in order: its JSON keys after "kind", its builder's args.
+_GRAPH_FIELDS = {
+    "grid": ("rows", "cols"),
+    "block": ("blocks_r", "blocks_c", "block_rows", "block_cols"),
+    "edge_list": ("path", "subsample"),
+}
 
 
 @dataclass(frozen=True)
@@ -48,33 +72,23 @@ class GraphConfig:
     path: str = ""
     subsample: Optional[int] = None
 
+    def __post_init__(self):
+        if self.kind not in _GRAPH_FIELDS:
+            raise ValueError(f"unknown graph kind {self.kind!r}")
+
     def build(self, base_seed: int) -> ItemGraph:
-        if self.kind == "grid":
-            return build_grid(self.rows, self.cols)
-        if self.kind == "block":
-            return build_block(self.blocks_r, self.blocks_c,
-                               self.block_rows, self.block_cols)
         if self.kind == "edge_list":
             g = load_edge_list(self.path)
             if self.subsample is not None:
                 g = subsample_vertices(g, self.subsample,
                                        derive_seed(base_seed, "subsample"))
             return g
-        raise ValueError(f"unknown graph kind {self.kind!r}")
+        builder = build_grid if self.kind == "grid" else build_block
+        return builder(*(getattr(self, name) for name in _GRAPH_FIELDS[self.kind]))
 
     def to_dict(self) -> dict:
-        if self.kind == "grid":
-            return {"kind": "grid", "rows": self.rows, "cols": self.cols}
-        if self.kind == "block":
-            return {"kind": "block", "blocks_r": self.blocks_r,
-                    "blocks_c": self.blocks_c, "block_rows": self.block_rows,
-                    "block_cols": self.block_cols}
-        return {"kind": "edge_list", "path": self.path,
-                "subsample": self.subsample}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GraphConfig":
-        return cls(**obj)
+        return {"kind": self.kind,
+                **{name: getattr(self, name) for name in _GRAPH_FIELDS[self.kind]}}
 
 
 @dataclass(frozen=True)
@@ -88,59 +102,42 @@ class DecoderConfig:
     lam: Optional[float] = None
     phi: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "relaxed": self.relaxed,
-                "eta": self.eta, "lam": self.lam, "phi": self.phi}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DecoderConfig":
-        return cls(**obj)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """An experiment; its fields, in this order, are the JSON config schema."""
+
     graph: GraphConfig
     lam: float
     phi: float
-    tests: tuple
-    decoders: tuple
     truth_sweeps: int = 1000
+    tests: tuple
     p: Optional[float] = None  # None means ln2 / k_realized
     rho: tuple = (0.0,)
+    decoders: tuple
     trials: int = 1
     base_seed: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not isinstance(self.graph, GraphConfig):
+            object.__setattr__(self, "graph", _from_dict(GraphConfig, self.graph))
         object.__setattr__(self, "tests", tuple(int(t) for t in self.tests))
         object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
-        decs = tuple(d if isinstance(d, DecoderConfig) else DecoderConfig.from_dict(d)
+        decs = tuple(d if isinstance(d, DecoderConfig) else _from_dict(DecoderConfig, d)
                      for d in self.decoders)
         object.__setattr__(self, "decoders", decs)
 
     def to_dict(self) -> dict:
-        return {
-            "graph": self.graph.to_dict(),
-            "lam": self.lam,
-            "phi": self.phi,
-            "truth_sweeps": self.truth_sweeps,
-            "tests": list(self.tests),
-            "p": self.p,
-            "rho": list(self.rho),
-            "decoders": [d.to_dict() for d in self.decoders],
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-        }
+        """The JSON form: every field in declaration order, tuples as lists."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "graph": self.graph.to_dict(), "tests": list(self.tests),
+                "rho": list(self.rho), "decoders": [asdict(d) for d in self.decoders]}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        obj = dict(obj)
-        obj["graph"] = GraphConfig.from_dict(obj["graph"])
-        obj["decoders"] = tuple(DecoderConfig.from_dict(d) for d in obj["decoders"])
-        obj["tests"] = tuple(obj["tests"])
-        obj["rho"] = tuple(obj.get("rho", [0.0]))
-        return cls(**obj)
+        return _from_dict(cls, obj)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -245,13 +242,11 @@ def sample_truth(config: ExperimentConfig, graph: Optional[ItemGraph] = None
 
 
 def run_experiment(config: ExperimentConfig,
-                   design_factory: Optional[Callable] = None,
                    decoder_graph: Optional[ItemGraph] = None) -> ExperimentReport:
     """Run the full trial protocol and aggregate the error metrics.
 
-    ``design_factory(t, n, p, seed)`` is a test hook replacing Bernoulli
-    designs.  ``decoder_graph`` lets the graph-mismatch sweep hand decoders
-    an assumed prior differing from the truth's.
+    ``decoder_graph`` lets the graph-mismatch sweep hand decoders an assumed
+    prior differing from the truth's.
     """
     truth_graph = config.graph.build(config.base_seed)
     truth = sample_truth(config, truth_graph)
@@ -260,7 +255,6 @@ def run_experiment(config: ExperimentConfig,
         raise ValueError("sampled truth has no defectives; set an explicit p")
     p = config.p if config.p is not None else math.log(2.0) / k
     q = k / truth.n if truth.n else 0.0
-    factory = design_factory or bernoulli_design
 
     graph_for_decoding = decoder_graph if decoder_graph is not None else truth_graph
     records: List[TrialRecord] = []
@@ -275,26 +269,21 @@ def run_experiment(config: ExperimentConfig,
                                     assumed, q)
                 for trial in range(config.trials):
                     dseed = derive_seed(config.base_seed, "design", trial)
-                    design = factory(t, truth.n, p, dseed)
+                    design = bernoulli_design(t, truth.n, p, dseed)
                     y = run_tests(design, truth, spec.noise,
                                   derive_seed(config.base_seed, "noise", trial, rho))
                     result = decode(spec, design, y)
-                    if result.solver_status != "optimal":
-                        records.append(TrialRecord(
-                            t, rho, dec.family, dec.relaxed, trial,
-                            fp=0, fn=0, fp_rate=1.0, fn_rate=1.0,
-                            time_s=result.wall_time,
-                            status=f"failed:{result.solver_status}",
-                            design_seed=dseed))
-                        continue
-                    rep = count_fp_fn(truth, result.estimate)
+                    if result.solver_status == "optimal":
+                        rep = count_fp_fn(truth, result.estimate)
+                        # rates are None when the truth has no defectives
+                        scores = rep.fp, rep.fn, rep.fp_rate or 0.0, rep.fn_rate or 0.0
+                        status = "ok"
+                    else:
+                        scores = (0, 0, 1.0, 1.0)
+                        status = f"failed:{result.solver_status}"
                     records.append(TrialRecord(
-                        t, rho, dec.family, dec.relaxed, trial,
-                        fp=rep.fp, fn=rep.fn,
-                        fp_rate=rep.fp_rate if rep.fp_rate is not None else 0.0,
-                        fn_rate=rep.fn_rate if rep.fn_rate is not None else 0.0,
-                        time_s=result.wall_time, status="ok", design_seed=dseed))
-    rows = _aggregate(records, config.trials)
+                        t, rho, dec.family, dec.relaxed, trial, *scores,
+                        time_s=result.wall_time, status=status, design_seed=dseed))
     metadata = {
         "config": config.to_dict(),
         "rng": RNG_ID,
@@ -303,63 +292,49 @@ def run_experiment(config: ExperimentConfig,
         "p_used": p,
         "n": truth.n,
     }
-    return ExperimentReport(tuple(rows), tuple(records), metadata)
+    return ExperimentReport(tuple(_aggregate(records)), tuple(records), metadata)
 
 
-def _aggregate(records: Sequence[TrialRecord], trials: int) -> List[AggregateRow]:
-    keys = []
+def _aggregate(records: Sequence[TrialRecord]) -> List[AggregateRow]:
+    """One row per (t, rho, decoder, relaxed), in first-seen order."""
     groups = {}
     for r in records:
-        key = (r.t, r.rho, r.decoder, r.relaxed)
-        if key not in groups:
-            groups[key] = []
-            keys.append(key)
-        groups[key].append(r)
-    rows = []
-    for key in keys:
-        grp = groups[key]
-        rows.append(AggregateRow(
-            t=key[0], rho=key[1], decoder=key[2], relaxed=key[3],
-            fp_rate=sum(g.fp_rate for g in grp) / len(grp),
-            fn_rate=sum(g.fn_rate for g in grp) / len(grp),
-            time_s=sum(g.time_s for g in grp) / len(grp),
-            trials=len(grp),
-            failures=sum(1 for g in grp if g.status != "ok"),
-        ))
-    return rows
+        groups.setdefault((r.t, r.rho, r.decoder, r.relaxed), []).append(r)
+    return [AggregateRow(
+        *key,
+        fp_rate=sum(g.fp_rate for g in grp) / len(grp),
+        fn_rate=sum(g.fn_rate for g in grp) / len(grp),
+        time_s=sum(g.time_s for g in grp) / len(grp),
+        trials=len(grp),
+        failures=sum(1 for g in grp if g.status != "ok"),
+    ) for key, grp in groups.items()]
 
 
 def run_graph_mismatch(config: ExperimentConfig, fractions: Sequence[float]
                        ) -> List[Tuple[float, ExperimentReport]]:
     """Decode with edge-perturbed graphs; the truth always uses the true graph.
 
-    The fraction-0 block is bit-identical to the baseline experiment.
+    Every fraction is checked before the first run.  The fraction-0 block is
+    bit-identical to the baseline experiment.
     """
-    out = []
+    if not all(0.0 <= fraction <= 0.5 for fraction in fractions):
+        raise ValueError("mismatch fractions must lie in [0, 0.5]")
     true_graph = config.graph.build(config.base_seed)
-    for fraction in fractions:
-        if not (0.0 <= fraction <= 0.5):
-            raise ValueError("mismatch fractions must lie in [0, 0.5]")
-        mismatched = perturb_edges(true_graph, fraction,
-                                   derive_seed(config.base_seed, "perturb",
-                                               float(fraction)))
-        report = run_experiment(config, decoder_graph=mismatched)
-        out.append((fraction, report))
-    return out
+    return [(fraction, run_experiment(config, decoder_graph=perturb_edges(
+                true_graph, fraction,
+                derive_seed(config.base_seed, "perturb", float(fraction)))))
+            for fraction in fractions]
 
 
 def run_lambda_mismatch(config: ExperimentConfig, lambda_values: Sequence[float]
                         ) -> List[Tuple[float, ExperimentReport]]:
-    """Decode with assumed edge strengths differing from the truth's."""
-    out = []
-    for lam in lambda_values:
-        if lam <= 0:
-            raise ValueError("lambda values must be positive")
-        mism = replace(config, decoders=tuple(
-            replace(d, lam=float(lam)) for d in config.decoders))
-        report = run_experiment(mism)
-        out.append((float(lam), report))
-    return out
+    """Decode with assumed edge strengths differing from the truth's; every
+    value is checked before the first run."""
+    if any(lam <= 0 for lam in lambda_values):
+        raise ValueError("lambda values must be positive")
+    return [(float(lam), run_experiment(replace(config, decoders=tuple(
+                replace(d, lam=float(lam)) for d in config.decoders))))
+            for lam in lambda_values]
 
 
 def _cell(value) -> str:

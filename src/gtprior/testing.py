@@ -148,8 +148,12 @@ def design_from_text(text: str) -> TestDesign:
     text = text.strip()
     if text.startswith("{"):
         obj = json.loads(text)
+        if "matrix" not in obj:
+            raise ValueError("design JSON has no 'matrix'")
+        p, seed = obj.get("p"), obj.get("seed")
         return TestDesign(np.array(obj["matrix"], dtype=np.uint8),
-                          bernoulli_p=obj.get("p"), seed=obj.get("seed"))
+                          bernoulli_p=None if p is None else float(p),
+                          seed=None if seed is None else int(seed))
     p = None
     seed = None
     rows = []

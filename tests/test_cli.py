@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ class TestDecodeCommand:
                            "--outcomes", f"@{ypath}", "--decoder", "sparsity")
         assert code == 0
         assert json.loads(out)["estimate"] == "0000"
+
+    @pytest.mark.parametrize("body", [
+        {"t": 1, "n": 2, "p": 0.5},
+        {"matrix": [[0, 1]], "p": "half"},
+    ], ids=["no-matrix", "string-p"])
+    def test_malformed_design_json_is_usage_error(self, tmp_path, capsys, body):
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps(body))
+        code, _, err = run(capsys, "decode", "--design", str(dpath),
+                           "--outcomes", "0", "--decoder", "sparsity")
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_noisy_sparsity_needs_eta(self, tmp_path, capsys):
         dpath = tmp_path / "design.json"
@@ -174,6 +187,19 @@ class TestExperimentCommands:
         code, _, err = run(capsys, command, "--config", self.config_file(tmp_path),
                            values, "0", "--dump-trials")
         assert code == 1 and "--dump-trials" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: {**c, "trails": 3},
+        lambda c: {**c, "graph": {"kind": "grid", "colz": 2}},
+        lambda c: {k: v for k, v in c.items() if k != "graph"},
+        lambda c: [1, 2, 3],
+    ], ids=["unknown-key", "unknown-graph-key", "missing-graph", "array"])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, edit):
+        path = Path(self.config_file(tmp_path))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        code, _, err = run(capsys, "experiment", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_config_required(self, capsys):
         code, _, _ = run(capsys, "experiment")

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,10 +48,11 @@ def node_limited_decode(spec, design, y):
 
 
 class TestRunExperiment:
-    def test_identity_design_is_exact(self):
+    def test_identity_design_is_exact(self, monkeypatch):
+        monkeypatch.setattr(harness, "bernoulli_design", identity_factory)
         config = small_config(tests=(6,), decoders=(DecoderConfig("sparsity"),),
                               trials=1, base_seed=3)
-        report = run_experiment(config, design_factory=identity_factory)
+        report = run_experiment(config)
         row = report.rows[0]
         assert row.fp_rate == 0.0 and row.fn_rate == 0.0
 
@@ -149,6 +152,19 @@ class TestMismatch:
     def test_fraction_out_of_range(self):
         with pytest.raises(ValueError):
             run_graph_mismatch(small_config(), [0.75])
+
+    @pytest.mark.parametrize("sweep, values", [
+        (run_graph_mismatch, [0.0, 0.75]),
+        (run_lambda_mismatch, [0.5, -1.0]),
+    ])
+    def test_every_value_checked_before_the_first_run(self, monkeypatch, sweep,
+                                                      values):
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError):
+            sweep(small_config(), values)
+        assert calls == []
 
     def test_lambda_match_is_baseline(self):
         config = small_config(trials=2)
@@ -301,3 +317,171 @@ class TestConfigIO:
         for name, preset in PRESETS.items():
             config = ExperimentConfig.from_dict(preset)
             assert config.trials >= 1
+
+    @pytest.mark.parametrize("obj, names", [
+        ({**PRESETS["ci-grid-10"], "trails": 3}, "'trails'"),
+        ({**PRESETS["ci-grid-10"], "graph": {"kind": "grid", "colz": 3}}, "'colz'"),
+        ({k: v for k, v in PRESETS["ci-grid-10"].items() if k != "graph"}, "'graph'"),
+        ([1, 2, 3], "JSON object"),
+        ({**PRESETS["ci-grid-10"], "decoders": [{"family": "sparsity", "eat": 1}]},
+         "'eat'"),
+    ], ids=["unknown-key", "unknown-graph-key", "missing-graph", "array",
+            "unknown-decoder-key"])
+    def test_malformed_config_is_a_value_error(self, obj, names):
+        with pytest.raises(ValueError, match=names):
+            ExperimentConfig.from_dict(obj)
+
+    def test_readme_schema_example_round_trips(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"### Experiment config schema\n\n```json\n(.*?)```",
+                          readme, re.S).group(1)
+        example = json.loads(block)
+        config = ExperimentConfig.from_dict(example)
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        assert list(config.to_dict()) == list(example)
+        assert config.to_dict()["graph"] == example["graph"]
+
+
+DECODER_NULLS = """\
+      "eta": null,
+      "lam": null,
+      "phi": null"""
+
+SCHEMA_PINS = {
+    "ci-grid-10": (ExperimentConfig.from_dict(PRESETS["ci-grid-10"]), """\
+{
+  "graph": {
+    "kind": "grid",
+    "rows": 10,
+    "cols": 10
+  },
+  "lam": 0.5,
+  "phi": 0.006,
+  "truth_sweeps": 1000,
+  "tests": [
+    60
+  ],
+  "p": null,
+  "rho": [
+    0.0
+  ],
+  "decoders": [
+    {
+      "family": "sparsity",
+      "relaxed": false,
+""" + DECODER_NULLS + """
+    },
+    {
+      "family": "ising_map",
+      "relaxed": false,
+""" + DECODER_NULLS + """
+    }
+  ],
+  "trials": 10,
+  "base_seed": 5
+}"""),
+    "block": (ExperimentConfig(
+        graph=GraphConfig(kind="block", blocks_r=2, blocks_c=3, block_rows=4,
+                          block_cols=5),
+        lam=0.6, phi=0.035, tests=(20, 40),
+        decoders=(DecoderConfig("ising_map", relaxed=True, eta=1.5, lam=0.3),)), """\
+{
+  "graph": {
+    "kind": "block",
+    "blocks_r": 2,
+    "blocks_c": 3,
+    "block_rows": 4,
+    "block_cols": 5
+  },
+  "lam": 0.6,
+  "phi": 0.035,
+  "truth_sweeps": 1000,
+  "tests": [
+    20,
+    40
+  ],
+  "p": null,
+  "rho": [
+    0.0
+  ],
+  "decoders": [
+    {
+      "family": "ising_map",
+      "relaxed": true,
+      "eta": 1.5,
+      "lam": 0.3,
+      "phi": null
+    }
+  ],
+  "trials": 1,
+  "base_seed": 0
+}"""),
+    "edge-list-subsample": (ExperimentConfig(
+        graph=GraphConfig(kind="edge_list", path="graph.txt", subsample=12),
+        lam=1, phi=0.5, tests=(8,), p=0.25, rho=(0.0, 0.01),
+        decoders=(DecoderConfig("sparsity", phi=2.0),), trials=4, base_seed=9), """\
+{
+  "graph": {
+    "kind": "edge_list",
+    "path": "graph.txt",
+    "subsample": 12
+  },
+  "lam": 1,
+  "phi": 0.5,
+  "truth_sweeps": 1000,
+  "tests": [
+    8
+  ],
+  "p": 0.25,
+  "rho": [
+    0.0,
+    0.01
+  ],
+  "decoders": [
+    {
+      "family": "sparsity",
+      "relaxed": false,
+      "eta": null,
+      "lam": null,
+      "phi": 2.0
+    }
+  ],
+  "trials": 4,
+  "base_seed": 9
+}"""),
+    "edge-list": (ExperimentConfig.from_dict({
+        "graph": {"kind": "edge_list", "path": "graph.txt"}, "lam": 0.5,
+        "phi": 0.1, "tests": [8], "decoders": [{"family": "sparsity"}]}), """\
+{
+  "graph": {
+    "kind": "edge_list",
+    "path": "graph.txt",
+    "subsample": null
+  },
+  "lam": 0.5,
+  "phi": 0.1,
+  "truth_sweeps": 1000,
+  "tests": [
+    8
+  ],
+  "p": null,
+  "rho": [
+    0.0
+  ],
+  "decoders": [
+    {
+      "family": "sparsity",
+      "relaxed": false,
+""" + DECODER_NULLS + """
+    }
+  ],
+  "trials": 1,
+  "base_seed": 0
+}"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_PINS))
+def test_config_json_text_is_pinned(name):
+    config, text = SCHEMA_PINS[name]
+    assert json.dumps(config.to_dict(), indent=2) == text
