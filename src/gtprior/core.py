@@ -9,8 +9,8 @@ operations are pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, is_dataclass
+from typing import Iterable, Optional, Union, get_args, get_origin
 
 import numpy as np
 
@@ -135,3 +135,32 @@ def approx_distance(a: DefectiveSet, b: DefectiveSet) -> int:
         raise ValueError(f"dimension mismatch: a.n={a.n}, b.n={b.n}")
     sa, sb = set(a.members), set(b.members)
     return max(len(sa - sb), len(sb - sa))
+
+
+def check_json_field(name: str, value, hint):
+    """``value``, read from a JSON file for a field annotated ``hint``, after
+    a type check; a value of the wrong type is a ValueError naming ``name``.
+
+    A bool field takes only a bool, an int field an int that is not a bool,
+    a float field also an int, and a str field a str.  ``Optional[X]`` also
+    takes null.  ``Tuple[X, ...]`` takes a list (returned as a tuple) whose
+    elements are checked as X.  A dataclass field takes an instance or a
+    JSON object, which the dataclass checks when it is built from it.
+    """
+    if get_origin(hint) is Union:  # Optional[X]
+        return None if value is None else check_json_field(name, value, get_args(hint)[0])
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list, not {type(value).__name__}: {value!r}")
+        return tuple(check_json_field(f"{name}[{i}]", v, get_args(hint)[0])
+                     for i, v in enumerate(value))
+    if is_dataclass(hint):
+        ok = isinstance(value, (hint, dict))
+    elif hint in (int, float):
+        ok = isinstance(value, (int, hint)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, hint)
+    if not ok:
+        want = "a JSON object" if is_dataclass(hint) else hint.__name__
+        raise ValueError(f"{name} must be {want}, not {type(value).__name__}: {value!r}")
+    return value

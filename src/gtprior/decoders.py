@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import DefectiveSet, DefectivityVector, approx_distance
-from .milp import MilpModel, solve_ilp, solve_lp
+from .milp import MilpModel, ModelShape, solve_ilp, solve_lp
 from .prior import (_CHUNK_BITS, _ENUM_LIMIT, IsingPrior, _config_chunk,
                     log_unnormalized_prob_many)
 from .testing import NoiseSpec, OutcomeVector, TestDesign
@@ -141,7 +141,8 @@ class CandidateFamily:
 @dataclass(frozen=True)
 class DecodeResult:
     """Outcome of a decode: the estimate (None on failure), the model
-    objective at the optimum, and solve diagnostics."""
+    objective at the optimum, and solve diagnostics, among them the model's
+    shape as built and after the solver's presolve."""
 
     estimate: Optional[DefectivityVector]
     objective_value: Optional[float]
@@ -149,6 +150,8 @@ class DecodeResult:
     nodes: int
     wall_time: float
     spec: DecoderSpec
+    model_shape: Optional[ModelShape] = None
+    presolved_shape: Optional[ModelShape] = None
 
     @property
     def failed(self) -> bool:
@@ -161,6 +164,8 @@ class DecodeResult:
             "solver_status": self.solver_status,
             "nodes": self.nodes,
             "wall_time": self.wall_time,
+            "model_shape": self.model_shape and asdict(self.model_shape),
+            "presolved_shape": self.presolved_shape and asdict(self.presolved_shape),
             "decoder": {
                 "family": self.spec.family,
                 "relaxed": self.spec.relaxed,
@@ -292,11 +297,9 @@ def decode(spec: DecoderSpec, design: TestDesign, y: OutcomeVector) -> DecodeRes
     else:
         sol = solve_ilp(model)
     wall = time.perf_counter() - start
-    if sol.x is None:
-        return DecodeResult(None, None, sol.status, sol.nodes_explored, wall, spec)
-    bits = round_relaxed(sol.x[:design.n])
-    return DecodeResult(DefectivityVector(bits), sol.objective_value,
-                        sol.status, sol.nodes_explored, wall, spec)
+    estimate = None if sol.x is None else DefectivityVector(round_relaxed(sol.x[:design.n]))
+    return DecodeResult(estimate, sol.objective_value, sol.status, sol.nodes_explored,
+                        wall, spec, sol.model_shape, sol.presolved_shape)
 
 
 def map_score(prior: IsingPrior, u: DefectivityVector, design: TestDesign,

@@ -14,7 +14,8 @@ dump and counted in the row's failures; they are never silently dropped.
 
 The config schema is the field order of :class:`ExperimentConfig`,
 :class:`GraphConfig` (``kind`` plus that kind's fields) and
-:class:`DecoderConfig`; ``from_dict`` rejects unknown and missing keys.
+:class:`DecoderConfig`; ``from_dict`` rejects unknown and missing keys and
+values of the wrong JSON type.
 
 Report columns are the fields of :class:`AggregateRow` (summary) and
 :class:`TrialRecord` (trial dump) in declaration order; ``include_times``
@@ -26,9 +27,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, get_type_hints
 
-from .core import DefectivityVector, count_fp_fn
+from .core import DefectivityVector, check_json_field, count_fp_fn
 from .decoders import decode, decoder_spec
 from .prior import (IsingPrior, ItemGraph, build_block, build_grid,
                     gibbs_sample, load_edge_list, perturb_edges,
@@ -38,15 +39,18 @@ from .testing import bernoulli_design, run_tests
 
 
 def _from_dict(cls, obj):
-    """``cls(**obj)`` for a JSON object; a non-object, an unknown key or a
-    missing required key is a ValueError naming them."""
+    """``cls(**obj)`` for a JSON object; a non-object, an unknown key, a
+    missing required key or a value of the wrong type for its field
+    (:func:`~gtprior.core.check_json_field`) is a ValueError naming them."""
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, not {type(obj).__name__}")
     unknown = sorted(map(str, obj.keys() - {f.name for f in fields(cls)}))
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
     if unknown or missing:
         raise ValueError(f"{cls.__name__}: unknown keys {unknown}, missing keys {missing}")
-    return cls(**obj)
+    hints = get_type_hints(cls)
+    return cls(**{key: check_json_field(f"{cls.__name__}.{key}", value, hints[key])
+                  for key, value in obj.items()})
 
 
 # Each graph kind's fields, in order: its JSON keys after "kind", its builder's args.
@@ -111,10 +115,10 @@ class ExperimentConfig:
     lam: float
     phi: float
     truth_sweeps: int = 1000
-    tests: tuple
+    tests: Tuple[int, ...]
     p: Optional[float] = None  # None means ln2 / k_realized
-    rho: tuple = (0.0,)
-    decoders: tuple
+    rho: Tuple[float, ...] = (0.0,)
+    decoders: Tuple[DecoderConfig, ...]
     trials: int = 1
     base_seed: int = 0
 

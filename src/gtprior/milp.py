@@ -19,11 +19,32 @@ Implementation notes and defaults:
 * Branch-and-bound branches on the integer variable whose fractional part is
   closest to 0.5, explores depth-first, and orders the two children so the
   branch nearest the parent LP value is taken first.
-* Before the root node, branch-and-bound checks every ``==`` row whose
-  nonzeros are integers on integer variables only: the row's value is then
-  a multiple of the gcd of its coefficients, so a rhs that is not (within
-  the feasibility tolerance) proves the model infeasible with 0 nodes.
-  Rows touching a continuous variable are skipped.
+* ``solve_lp`` and ``solve_ilp`` first run one exact presolve at the root
+  (never at branch-and-bound nodes).  It takes the constraint nonzeros
+  once as (row, column, value) triplets and propagates activity bounds
+  until nothing changes: a row's least and greatest activity over the
+  current bounds imply a bound on each of its columns.  Integer columns
+  round their implied bounds with the integrality tolerance; a continuous
+  column is only ever fixed, when its implied interval closes.  In group
+  testing this is COMP (an item in a negative test is 0), DD (the lone
+  candidate of a positive test is 1) and the fixing of each edge
+  product with its endpoints.  Fixed columns are dropped, their values
+  folded into the rhs and the objective constant, and rows that hold for
+  every point of the tightened bounds (or that no free column touches) are
+  dropped too, so the simplex never sees an empty row.  Bounds that
+  conflict, or a row that no point of the bounds satisfies, prove the model
+  infeasible with 0 nodes.  A model the presolve leaves unchanged is solved
+  as given, with no copy.
+* Postsolve scatters the reduced solution back into a full-length point
+  and re-checks it against the original model (at the feasibility
+  tolerance for an LP, at 1e-7 for an incumbent); the reported objective
+  is computed on the original model.
+* Before the root node, branch-and-bound checks every ``==`` row of the
+  presolved model whose nonzeros are integers on integer variables only:
+  the row's value is then a multiple of the gcd of its coefficients, so a
+  rhs that is not (within the feasibility tolerance) proves the model
+  infeasible with 0 nodes.  Rows touching a continuous variable are
+  skipped.
 * Tolerances are fixed: feasibility 1e-9, integrality 1e-6, bound-pruning
   1e-7.
 * Every LP solve, the root relaxation and each branch-and-bound node alike,
@@ -31,8 +52,8 @@ Implementation notes and defaults:
   feasibility against the model before it is used, and an incumbent is
   re-checked after rounding.  Irrecoverable numerical trouble raises
   :class:`NumericalError` rather than returning a silently wrong answer;
-  that includes a non-finite constraint matrix and a simplex ray, which
-  finite bounds rule out.
+  that includes a non-finite constraint matrix (caught by the presolve)
+  and a simplex ray, which finite bounds rule out.
 """
 
 from __future__ import annotations
@@ -115,13 +136,29 @@ class MilpModel:
 
 
 @dataclass(frozen=True)
+class ModelShape:
+    """Constraint rows, variables and constraint nonzeros of a model."""
+
+    rows: int
+    vars: int
+    nnz: int
+
+
+@dataclass(frozen=True)
 class MilpSolution:
-    """Solver outcome: status in {optimal, infeasible, node_limit}."""
+    """Solver outcome: status in {optimal, infeasible, node_limit}.
+
+    ``model_shape`` is the shape of the model as given and
+    ``presolved_shape`` the shape the simplex ran on (None when the presolve
+    proved the model infeasible); a single node solve sets neither.
+    """
 
     status: str
     x: Optional[np.ndarray]
     objective_value: Optional[float]
     nodes_explored: int = 0
+    model_shape: Optional[ModelShape] = None
+    presolved_shape: Optional[ModelShape] = None
 
 
 def feasibility_violation(model: MilpModel,
@@ -176,21 +213,12 @@ def _simplex(model: MilpModel, lo, hi):
     b_eff = model.rhs - a @ lo
     rel = np.asarray(model.relations, dtype=str)
     sense = (rel == "<=").astype(np.intp) - (rel == ">=")  # +1 <=, 0 ==, -1 >=
-
-    # Drop rows with no coefficients after checking their satisfiability:
-    # "0 rel b" is violated by -b (<=), b (>=) or |b| (==).
-    empty = ~a.any(axis=1)
-    violation = np.where(sense, -sense * b_eff, np.abs(b_eff))
-    if (violation[empty] > FEASIBILITY_TOL).any():
-        return "infeasible", None
-    a, b_eff, sense = a[~empty], b_eff[~empty], sense[~empty]
     m = a.shape[0]
 
-    # Negate rows with negative rhs (and their sense; the kept rows are
-    # copies), then give every inequality a slack (+1 for <=, -1 for >=) and
-    # every row that is not <= an artificial, both in row order.
+    # Negate rows with negative rhs (and their sense), then give every
+    # inequality a slack (+1 for <=, -1 for >=) and every row that is not <=
+    # an artificial, both in row order.
     neg = b_eff < 0
-    np.negative(a, out=a, where=neg[:, None])
     np.negative(b_eff, out=b_eff, where=neg)
     np.negative(sense, out=sense, where=neg)
     slack_rows = np.flatnonzero(sense != 0)
@@ -203,6 +231,7 @@ def _simplex(model: MilpModel, lo, hi):
     # (the entering one, or one the pivot row touches) is contiguous.
     tab_t = np.zeros((total, m))
     tab_t[:n] = a.T
+    np.negative(tab_t[:n], out=tab_t[:n], where=neg)
     tab_t[slack_cols, slack_rows] = sense[slack_rows]
     tab_t[art_cols, art_rows] = 1.0
     col_ub = np.concatenate([ub, np.full(n_slack + n_art, np.inf)])
@@ -339,13 +368,113 @@ def _solve_node(model: MilpModel, lo: np.ndarray, hi: np.ndarray) -> MilpSolutio
     return MilpSolution("optimal", x, float(model.objective @ x) + model.objective_constant)
 
 
+@dataclass(frozen=True)
+class _Presolved:
+    """The root presolve of a model: the reduced model (None when the
+    presolve proved the model infeasible), a full-length point holding the
+    values of the fixed columns, the mask of the columns the reduced model
+    keeps, and the shapes before and after."""
+
+    model: Optional[MilpModel]
+    x: Optional[np.ndarray]
+    free: Optional[np.ndarray]
+    shapes: tuple
+
+    def postsolve(self, original: MilpModel, sol: MilpSolution,
+                  tol: float) -> MilpSolution:
+        """``sol`` of the reduced model as a solution of ``original``: its
+        point scattered to full length, re-checked against ``original`` at
+        ``tol`` and given ``original``'s objective."""
+        if sol.x is None:
+            return MilpSolution(sol.status, None, None, sol.nodes_explored, *self.shapes)
+        x = self.x.copy()
+        x[self.free] = sol.x
+        if feasibility_violation(original, x) > tol:
+            raise NumericalError("postsolved point failed the feasibility "
+                                 "re-check against the original model")
+        obj = float(original.objective @ x) + original.objective_constant
+        return MilpSolution(sol.status, x, obj, sol.nodes_explored, *self.shapes)
+
+
+def _presolve(model: MilpModel, integral: np.ndarray) -> _Presolved:
+    """Propagate activity bounds to a fixed point, then drop the fixed
+    columns and the rows that can no longer be violated.
+
+    ``integral`` marks the columns whose implied bounds are rounded (the
+    integer columns for an ILP, none for an LP relaxation).
+    """
+    a, b = model.a_matrix, model.rhs
+    m, n = a.shape
+    ri, cj = np.nonzero(a)
+    av = a[ri, cj]
+    if not np.isfinite(av).all():
+        raise NumericalError("constraint matrix has a non-finite entry")
+    shape = ModelShape(m, n, ri.size)
+    rel = np.asarray(model.relations, dtype=str)
+    has_le, has_ge = rel != ">=", rel != "<="
+    row_tol = FEASIBILITY_TOL * (1.0 + np.abs(b))  # feasibility_violation's scale
+    pos = av > 0
+    lo, hi = model.lower, model.upper
+    while True:
+        min_act = np.bincount(ri, av * np.where(pos, lo[cj], hi[cj]), minlength=m)
+        max_act = np.bincount(ri, av * np.where(pos, hi[cj], lo[cj]), minlength=m)
+        if ((has_le & (min_act - b > row_tol)) | (has_ge & (b - max_act > row_tol))).any():
+            return _Presolved(None, None, None, (shape, None))
+        # Per nonzero, the room its row leaves above its least (below its
+        # greatest) activity, divided by the coefficient.  Clamping at 0
+        # keeps roundoff from implying a conflict that no row has on its own.
+        up = np.where(has_le, np.maximum(b - min_act, 0.0), np.inf)[ri] / av
+        dn = np.where(has_ge, np.minimum(b - max_act, 0.0), -np.inf)[ri] / av
+        new_hi, new_lo = hi.copy(), lo.copy()
+        np.minimum.at(new_hi, cj, lo[cj] + np.where(pos, up, dn))
+        np.maximum.at(new_lo, cj, hi[cj] + np.where(pos, dn, up))
+        new_hi = np.where(integral, np.floor(new_hi + INTEGRALITY_TOL), new_hi)
+        new_lo = np.where(integral, np.ceil(new_lo - INTEGRALITY_TOL), new_lo)
+        if (new_lo - new_hi > FEASIBILITY_TOL).any():
+            return _Presolved(None, None, None, (shape, None))
+        # A continuous column keeps its bounds until its interval closes.
+        closed = new_hi - new_lo <= FEASIBILITY_TOL
+        fixed_at = np.clip(0.5 * (new_lo + new_hi), lo, hi)
+        new_lo = np.where(integral, new_lo, np.where(closed, fixed_at, lo))
+        new_hi = np.where(integral, new_hi, np.where(closed, fixed_at, hi))
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+
+    free = lo < hi
+    x = np.where(free, 0.0, lo)
+    free_nz = free[cj]
+    redundant = (np.bincount(ri, free_nz, minlength=m) == 0) | (
+        (~has_le | (max_act <= b)) & (~has_ge | (min_act >= b)))
+    if free.all() and not redundant.any():
+        return _Presolved(model, x, free, (shape, shape))
+    rows, cols = np.flatnonzero(~redundant), np.flatnonzero(free)
+    reduced = MilpModel(
+        objective=model.objective[cols],
+        lower=lo[cols],
+        upper=hi[cols],
+        a_matrix=a[np.ix_(rows, cols)],
+        relations=tuple(rel[rows].tolist()),
+        rhs=(b - np.bincount(ri, av * x[cj], minlength=m))[rows],
+        integer_mask=model.integer_mask[cols],
+        objective_constant=model.objective_constant + float(model.objective @ x),
+    )
+    kept_nnz = int((free_nz & ~redundant[ri]).sum())
+    return _Presolved(reduced, x, free, (shape, ModelShape(rows.size, cols.size, kept_nnz)))
+
+
 def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation (integer marks ignored).
 
     The returned solution, when optimal, has passed an independent
-    feasibility re-check at ``FEASIBILITY_TOL``.
+    feasibility re-check against ``model`` at ``FEASIBILITY_TOL``.
     """
-    return _solve_node(model, model.lower, model.upper)
+    pre = _presolve(model, np.zeros(model.num_vars, dtype=bool))
+    if pre.model is None:
+        sol = MilpSolution("infeasible", None, None)
+    else:
+        sol = _solve_node(pre.model, pre.model.lower, pre.model.upper)
+    return pre.postsolve(model, sol, FEASIBILITY_TOL)
 
 
 def _integer_row_infeasible(model: MilpModel) -> bool:
@@ -364,12 +493,22 @@ def _integer_row_infeasible(model: MilpModel) -> bool:
 
 
 def solve_ilp(model: MilpModel, node_limit: int = 200_000) -> MilpSolution:
-    """Branch-and-bound over the LP relaxation for 0/1 integer variables."""
+    """Branch-and-bound over the LP relaxation for 0/1 integer variables,
+    on the presolved model; an incumbent is re-checked against ``model``."""
     int_idx = np.flatnonzero(model.integer_mask)
     if not np.isin(np.stack([model.lower, model.upper])[:, int_idx], (0.0, 1.0)).all():
         raise ValueError("integer variables must have 0/1 bounds")
-    if _integer_row_infeasible(model):
-        return MilpSolution("infeasible", None, None, 0)
+    pre = _presolve(model, model.integer_mask)
+    if pre.model is None or _integer_row_infeasible(pre.model):
+        sol = MilpSolution("infeasible", None, None)
+    else:
+        sol = _branch_and_bound(pre.model, node_limit)
+    return pre.postsolve(model, sol, 1e-7)
+
+
+def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
+    """Depth-first branch-and-bound from ``model``'s own bounds."""
+    int_idx = np.flatnonzero(model.integer_mask)
     c = model.objective
     best_x = None
     best_obj = np.inf
@@ -410,6 +549,4 @@ def solve_ilp(model: MilpModel, node_limit: int = 200_000) -> MilpSolution:
             stack.append((lo_c, hi_c))
     if best_x is None:
         return MilpSolution("infeasible", None, None, nodes)
-    if feasibility_violation(model, best_x) > 1e-7:
-        raise NumericalError("incumbent failed the feasibility re-check")
     return MilpSolution("optimal", best_x, best_obj, nodes)

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .core import DefectivityVector
+from .core import DefectivityVector, check_json_field
 from .rng import RNG_ID, generator
 
 
@@ -150,10 +150,11 @@ def design_from_text(text: str) -> TestDesign:
         obj = json.loads(text)
         if "matrix" not in obj:
             raise ValueError("design JSON has no 'matrix'")
-        p, seed = obj.get("p"), obj.get("seed")
+        hints = get_type_hints(TestDesign)
+        p = check_json_field("design p", obj.get("p"), hints["bernoulli_p"])
+        seed = check_json_field("design seed", obj.get("seed"), hints["seed"])
         return TestDesign(np.array(obj["matrix"], dtype=np.uint8),
-                          bernoulli_p=None if p is None else float(p),
-                          seed=None if seed is None else int(seed))
+                          bernoulli_p=None if p is None else float(p), seed=seed)
     p = None
     seed = None
     rows = []

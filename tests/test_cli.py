@@ -99,6 +99,31 @@ class TestDecodeCommand:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("body", [
+        {"matrix": [[0, 1]], "p": [0.5]},
+        {"matrix": [[0, 1]], "p": 0.5, "seed": "7"},
+    ], ids=["list-p", "string-seed"])
+    def test_wrongly_typed_design_value_is_usage_error(self, tmp_path, capsys, body):
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps(body))
+        code, _, err = run(capsys, "decode", "--design", str(dpath),
+                           "--outcomes", "0", "--decoder", "sparsity")
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_decode_reports_model_shapes(self, tmp_path, capsys):
+        # Test 0 = {0, 1} is negative and test 1 = {1, 2} positive: the
+        # presolve fixes items 0-2 and leaves item 3 and no rows.
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps({"matrix": [[1, 1, 0, 0], [0, 1, 1, 0]]}))
+        code, out, _ = run(capsys, "decode", "--design", str(dpath),
+                           "--outcomes", "01", "--decoder", "sparsity")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["estimate"] == "0010"
+        assert obj["model_shape"] == {"rows": 2, "vars": 4, "nnz": 4}
+        assert obj["presolved_shape"] == {"rows": 0, "vars": 1, "nnz": 0}
+
     def test_noisy_sparsity_needs_eta(self, tmp_path, capsys):
         dpath = tmp_path / "design.json"
         run(capsys, "--seed", "9", "--out", str(dpath), "design", "--t", "4",
@@ -197,6 +222,18 @@ class TestExperimentCommands:
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, edit):
         path = Path(self.config_file(tmp_path))
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        code, _, err = run(capsys, "experiment", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        {"decoders": [{"family": "sparsity", "relaxed": "no"}]},
+        {"trials": "3"},
+        {"tests": 60},
+    ], ids=["relaxed-str", "trials-str", "tests-int"])
+    def test_wrongly_typed_config_value_is_usage_error(self, tmp_path, capsys, edit):
+        path = Path(self.config_file(tmp_path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
         code, _, err = run(capsys, "experiment", "--config", str(path))
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err

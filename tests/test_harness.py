@@ -331,6 +331,30 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=names):
             ExperimentConfig.from_dict(obj)
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"decoders": [{"family": "sparsity", "relaxed": "no"}]},
+         "DecoderConfig.relaxed must be bool, not str"),
+        ({"trials": "3"}, "ExperimentConfig.trials must be int, not str"),
+        ({"trials": True}, "ExperimentConfig.trials must be int, not bool"),
+        ({"tests": 60}, "ExperimentConfig.tests must be a list, not int"),
+        ({"tests": [60.5]}, r"ExperimentConfig.tests\[0\] must be int"),
+        ({"lam": "0.5"}, "ExperimentConfig.lam must be float, not str"),
+        ({"graph": {"kind": "grid", "rows": 10.0, "cols": 10}},
+         "GraphConfig.rows must be int, not float"),
+        ({"graph": "grid"}, "ExperimentConfig.graph must be a JSON object"),
+    ], ids=["bool-from-str", "int-from-str", "int-from-bool", "tuple-from-int",
+            "int-element-from-float", "float-from-str", "graph-int-from-float",
+            "graph-from-str"])
+    def test_wrongly_typed_config_value_is_a_value_error(self, edit, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({**PRESETS["ci-grid-10"], **edit})
+
+    def test_config_types_accept_json_forms(self):
+        config = ExperimentConfig.from_dict({**PRESETS["ci-grid-10"], "lam": 1,
+                                             "rho": [0, 0.01], "p": 0.05})
+        assert config.lam == 1 and config.rho == (0.0, 0.01) and config.p == 0.05
+        assert config.tests == (60,) and isinstance(config.decoders, tuple)
+
     def test_readme_schema_example_round_trips(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"### Experiment config schema\n\n```json\n(.*?)```",

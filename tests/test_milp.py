@@ -291,7 +291,7 @@ class TestKernelDifferential:
         assert seen == {"optimal", "infeasible"}
 
     @pytest.mark.parametrize("trial, nodes", [
-        (0, 1), (1, 13), (2, 1), (3, 1), (4, 1), (5, 1), (6, 3), (7, 3), (8, 1),
+        (0, 1), (1, 39), (2, 1), (3, 1), (4, 1), (5, 1), (6, 3), (7, 3), (8, 1),
         (9, 1)])
     def test_ci_grid_ising_map_search_is_pinned(self, trial, nodes):
         from gtprior.decoders import DecoderSpec, build_model
@@ -314,6 +314,163 @@ class TestKernelDifferential:
         status, fun = highs(mdl, integer=True)
         assert status == 0
         assert abs(sol.objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
+
+
+def decoder_model(family, matrix, y, rho=0.0, relaxed=False, lam=0.5, phi=0.1,
+                  rows=1, eta=1.5):
+    """A decoder model of ``family`` for a 0/1 design ``matrix`` and outcomes
+    ``y``; ising_map uses a ``rows`` x (n / rows) grid prior."""
+    from gtprior.decoders import (build_ising_linearized_model,
+                                  build_sparsity_model)
+    from gtprior.prior import IsingPrior, build_grid
+    from gtprior.testing import NoiseSpec, OutcomeVector, TestDesign
+
+    matrix = np.asarray(matrix, dtype=np.uint8)
+    design, out = TestDesign(matrix), OutcomeVector(tuple(y))
+    noise = NoiseSpec("symmetric", rho) if rho else NoiseSpec()
+    eta = eta if rho else None
+    if family == "sparsity":
+        return build_sparsity_model(design, out, noise, eta, relaxed)
+    prior = IsingPrior.uniform(build_grid(rows, matrix.shape[1] // rows), lam, phi)
+    return build_ising_linearized_model(design, out, prior, noise, eta, relaxed)
+
+
+def assert_matches_references(m):
+    """solve_lp against the simplex on the unreduced model and HiGHS, and
+    solve_ilp against scipy's milp; returns the presolve's reduced shape."""
+    lp = solve_lp(m)
+    node = milp._solve_node(m, m.lower, m.upper)
+    status, fun = highs(m)
+    assert status in (0, 2)
+    assert lp.status == node.status == ("optimal" if status == 0 else "infeasible")
+    if status == 0:
+        for got in (lp.objective_value, node.objective_value):
+            assert abs(got - fun) <= 1e-7 * max(1.0, abs(fun))
+        assert feasibility_violation(m, lp.x) <= milp.FEASIBILITY_TOL
+    ilp = solve_ilp(m)
+    status, fun = highs(m, integer=True)
+    assert status in (0, 2)
+    assert ilp.status == ("optimal" if status == 0 else "infeasible")
+    if status == 0:
+        assert abs(ilp.objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
+        assert feasibility_violation(m, ilp.x) <= 1e-7
+        assert (ilp.x[m.integer_mask] == np.round(ilp.x[m.integer_mask])).all()
+    assert lp.model_shape == ilp.model_shape == milp.ModelShape(
+        m.num_rows, m.num_vars, int(np.count_nonzero(m.a_matrix)))
+    return lp.presolved_shape, ilp.presolved_shape
+
+
+class TestPresolve:
+    """The root presolve: the group-testing fixings it derives, conflicts it
+    proves, and solve_lp/solve_ilp against the unreduced simplex, HiGHS and
+    scipy's milp on fuzzed decoder and general models."""
+
+    def test_negative_test_items_are_0_and_lone_candidate_is_1(self):
+        # Test 0 = {0, 1} is negative (COMP: items 0, 1 are 0); test 1 =
+        # {1, 2} is positive and item 2 is its only candidate left (DD: 1).
+        for relaxed in (False, True):
+            m = decoder_model("sparsity", [[1, 1, 0, 0], [0, 1, 1, 0]], [0, 1],
+                              relaxed=relaxed)
+            pre = milp._presolve(m, m.integer_mask)
+            assert pre.free.tolist() == [False, False, False, True]
+            assert pre.x[:3].tolist() == [0.0, 0.0, 1.0]
+            assert pre.shapes[1] == milp.ModelShape(0, 1, 0)
+            for sol in (solve_lp(m), solve_ilp(m)):
+                assert sol.x.tolist() == [0.0, 0.0, 1.0, 0.0]
+                assert sol.objective_value == 1.0
+
+    def test_edge_product_is_fixed_with_its_endpoints(self):
+        # Path 0-1-2: item 0 is in a negative test, items 1 and 2 are each
+        # alone in a positive test, so w01 = u0 u1 = 0 and w12 = u1 u2 = 1.
+        m = decoder_model("ising_map", [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                          [0, 1, 1], lam=0.7, phi=0.2)
+        pre = milp._presolve(m, m.integer_mask)
+        assert not pre.free.any()
+        assert pre.x.tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
+        assert pre.shapes[1] == milp.ModelShape(0, 0, 0)
+        sol = solve_ilp(m)
+        assert sol.status == "optimal" and sol.nodes_explored == 1
+        assert sol.objective_value == pytest.approx(highs(m, integer=True)[1], abs=1e-12)
+
+    @pytest.mark.parametrize("m", [
+        # Item 0 is both in a negative and alone in a positive test.
+        decoder_model("sparsity", [[1, 1], [1, 0]], [0, 1]),
+        decoder_model("ising_map", [[1, 1], [1, 0]], [0, 1], relaxed=True),
+        # x0 <= 0.3 from one row and x0 >= 0.6 from another.
+        model([1.0, 1.0], [[1.0, 1.0], [2.0, -1.0]], ["<=", ">="], [0.3, 1.2],
+              integer=False),
+    ], ids=["sparsity", "ising-relaxed", "general"])
+    def test_propagated_conflict_is_infeasible_at_the_root(self, m):
+        assert milp._presolve(m, m.integer_mask).model is None
+        for sol in (solve_lp(m), solve_ilp(m)):
+            assert sol.status == "infeasible" and sol.nodes_explored == 0
+            assert sol.x is None and sol.presolved_shape is None
+        assert highs(m)[0] == 2 and highs(m, integer=True)[0] == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entry_in_a_fixed_column_raises(self, bad):
+        # x0 is fixed to 0 by row 0, so the bad entry would never reach the
+        # simplex; the presolve still refuses the matrix.
+        m = model([1.0, 1.0], [[1.0, 0.0], [bad, 1.0]], ["==", "<="], [0.0, 1.0])
+        for solve in (solve_lp, solve_ilp):
+            with pytest.raises(NumericalError):
+                solve(m)
+
+    def test_unchanged_model_is_solved_as_given(self):
+        m = decoder_model("ising_map", [[1, 1, 0, 0], [0, 0, 1, 1]], [1, 1],
+                          rho=0.05, rows=2)
+        pre = milp._presolve(m, m.integer_mask)
+        assert pre.model is m and pre.shapes[0] == pre.shapes[1]
+
+    def test_fuzzed_decoder_models_match_references(self):
+        rng = np.random.default_rng(105)
+        reduced = infeasible = 0
+        for trial in range(300):
+            family = ("sparsity", "ising_map")[trial % 2]
+            rows = int(rng.integers(1, 3))
+            n = rows * int(rng.integers(2, 5))
+            t = int(rng.integers(1, 9))
+            matrix = (rng.random((t, n)) < rng.uniform(0.15, 0.6)).astype(np.uint8)
+            if rng.random() < 0.5:  # outcomes of a random truth, else random
+                y = (matrix @ (rng.random(n) < 0.3) > 0).astype(int)
+            else:
+                y = rng.integers(0, 2, t)
+            rho = 0.0 if trial % 4 < 2 else 0.05
+            m = decoder_model(family, matrix, y, rho=rho, relaxed=bool(rng.random() < 0.5),
+                              lam=float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.0)),
+                              phi=float(rng.uniform(-1.0, 1.0)), rows=rows,
+                              eta=float(rng.uniform(0.5, 3.0)))
+            lp_shape, ilp_shape = assert_matches_references(m)
+            reduced += lp_shape is not None and lp_shape.vars < m.num_vars
+            infeasible += lp_shape is None
+        assert reduced > 80 and infeasible > 20
+
+    def test_fuzzed_general_models_match_references(self):
+        rng = np.random.default_rng(106)
+        reduced = infeasible = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 11))
+            k = int(rng.integers(0, 9))
+            integer = rng.random(n) < 0.5
+            lo = np.where(integer | (rng.random(n) < 0.4), 0.0, rng.uniform(0.0, 2.0, n))
+            hi = np.where(integer, 1.0, lo + np.where(rng.random(n) < 0.15, 0.0,
+                                                      rng.uniform(0.0, 3.0, n)))
+            a = np.where(rng.random((k, n)) < 0.5, 0.0, rng.integers(-5, 6, (k, n)))
+            if trial % 3 == 0:  # real coefficients
+                a = a * rng.uniform(0.5, 2.0, (k, n))
+            single = rng.random(k) < 0.2
+            a[single] = 0.0
+            a[single, rng.integers(0, n, int(single.sum()))] = rng.integers(1, 4, int(single.sum()))
+            rel = [("<=", "==", ">=")[i] for i in rng.integers(0, 3, k)]
+            point = np.where(integer, rng.integers(0, 2, n), rng.uniform(lo, hi))
+            shift = np.where(rng.random(k) < 0.6, 0.0, rng.normal(size=k))
+            b = a @ point + shift
+            m = MilpModel(rng.normal(size=n), lo, hi, a, tuple(rel), b, integer)
+            lp_shape, ilp_shape = assert_matches_references(m)
+            reduced += lp_shape is not None and (lp_shape.vars < n or lp_shape.rows < k)
+            infeasible += ilp_shape is None
+        assert reduced > 100 and infeasible > 50
 
 
 class TestModelValidation:
