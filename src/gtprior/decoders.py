@@ -142,7 +142,8 @@ class CandidateFamily:
 class DecodeResult:
     """Outcome of a decode: the estimate (None on failure), the model
     objective at the optimum, and solve diagnostics, among them the model's
-    shape as built and after the solver's presolve."""
+    shape as built and after the solver's presolve and the dual simplex
+    iterations over every LP solved."""
 
     estimate: Optional[DefectivityVector]
     objective_value: Optional[float]
@@ -152,6 +153,7 @@ class DecodeResult:
     spec: DecoderSpec
     model_shape: Optional[ModelShape] = None
     presolved_shape: Optional[ModelShape] = None
+    pivots: int = 0
 
     @property
     def failed(self) -> bool:
@@ -166,6 +168,7 @@ class DecodeResult:
             "wall_time": self.wall_time,
             "model_shape": self.model_shape and asdict(self.model_shape),
             "presolved_shape": self.presolved_shape and asdict(self.presolved_shape),
+            "pivots": self.pivots,
             "decoder": {
                 "family": self.spec.family,
                 "relaxed": self.spec.relaxed,
@@ -299,7 +302,7 @@ def decode(spec: DecoderSpec, design: TestDesign, y: OutcomeVector) -> DecodeRes
     wall = time.perf_counter() - start
     estimate = None if sol.x is None else DefectivityVector(round_relaxed(sol.x[:design.n]))
     return DecodeResult(estimate, sol.objective_value, sol.status, sol.nodes_explored,
-                        wall, spec, sol.model_shape, sol.presolved_shape)
+                        wall, spec, sol.model_shape, sol.presolved_shape, sol.pivots)
 
 
 def map_score(prior: IsingPrior, u: DefectivityVector, design: TestDesign,

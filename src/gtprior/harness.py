@@ -261,21 +261,27 @@ def run_experiment(config: ExperimentConfig,
     q = k / truth.n if truth.n else 0.0
 
     graph_for_decoding = decoder_graph if decoder_graph is not None else truth_graph
-    records: List[TrialRecord] = []
-    for t in config.tests:
-        for rho in config.rho:
-            for dec in config.decoders:
-                assumed = IsingPrior.uniform(
-                    graph_for_decoding,
-                    dec.lam if dec.lam is not None else config.lam,
-                    dec.phi if dec.phi is not None else config.phi)
-                spec = decoder_spec(dec.family, dec.relaxed, rho, dec.eta,
-                                    assumed, q)
-                for trial in range(config.trials):
-                    dseed = derive_seed(config.base_seed, "design", trial)
-                    design = bernoulli_design(t, truth.n, p, dseed)
-                    y = run_tests(design, truth, spec.noise,
-                                  derive_seed(config.base_seed, "noise", trial, rho))
+    assumed = [IsingPrior.uniform(graph_for_decoding,
+                                  dec.lam if dec.lam is not None else config.lam,
+                                  dec.phi if dec.phi is not None else config.phi)
+               for dec in config.decoders]
+    # specs[r][d]: decoder d at noise level rho[r]
+    specs = [[decoder_spec(dec.family, dec.relaxed, rho, dec.eta, prior, q)
+              for dec, prior in zip(config.decoders, assumed)] for rho in config.rho]
+    # Trial i's design serves every decoder and noise level, and its outcomes
+    # at one noise level every decoder, so each is drawn once.  Records are
+    # put back in (t, rho, decoder, trial) order.
+    keyed = []
+    for ti, t in enumerate(config.tests):
+        for trial in range(config.trials):
+            dseed = derive_seed(config.base_seed, "design", trial)
+            design = bernoulli_design(t, truth.n, p, dseed)
+            for ri, (rho, rho_specs) in enumerate(zip(config.rho, specs)):
+                y = None
+                for di, (dec, spec) in enumerate(zip(config.decoders, rho_specs)):
+                    if y is None:
+                        y = run_tests(design, truth, spec.noise,
+                                      derive_seed(config.base_seed, "noise", trial, rho))
                     result = decode(spec, design, y)
                     if result.solver_status == "optimal":
                         rep = count_fp_fn(truth, result.estimate)
@@ -285,9 +291,10 @@ def run_experiment(config: ExperimentConfig,
                     else:
                         scores = (0, 0, 1.0, 1.0)
                         status = f"failed:{result.solver_status}"
-                    records.append(TrialRecord(
+                    keyed.append(((ti, ri, di, trial), TrialRecord(
                         t, rho, dec.family, dec.relaxed, trial, *scores,
-                        time_s=result.wall_time, status=status, design_seed=dseed))
+                        time_s=result.wall_time, status=status, design_seed=dseed)))
+    records = [rec for _, rec in sorted(keyed, key=lambda item: item[0])]
     metadata = {
         "config": config.to_dict(),
         "rng": RNG_ID,

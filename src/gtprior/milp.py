@@ -1,4 +1,4 @@
-"""Self-contained LP/ILP solver: bounded-variable primal simplex plus
+"""Self-contained LP/ILP solver: a bounded dual simplex plus
 branch-and-bound for 0/1 integer programs.
 
 This is the shared optimization substrate for every decoder.  Models are
@@ -7,18 +7,36 @@ optional 0/1 integrality marks.
 
 Implementation notes and defaults:
 
-* Two-phase tableau simplex over shifted variables (x - lo), with
-  nonbasic variables resting at either bound.  Dantzig pricing switches to
-  Bland's rule after 10 * (rows + cols) iterations so degenerate models
-  (decoder LPs have many identical rows) still terminate.
+* One bounded dual simplex solves every LP (Koberstein, *The dual simplex
+  method*, 2005, ch. 3).  Each row gets a slack (``A x + s = b``, with
+  ``s >= 0`` for ``<=``, ``s <= 0`` for ``>=`` and ``s = 0`` for ``==``),
+  and every structural column is boxed, so the slack basis is dual
+  feasible once each nonbasic column rests at the bound its cost sign
+  picks: there is no phase 1.  The leaving row is the one with the largest
+  bound violation relative to the norm of its row of the basis inverse
+  (dual steepest edge, kept exact as the inverse changes); the ratio test
+  flips boxed columns to their other bound while the leaving variable
+  stays out of bounds, then takes the largest pivot among the ratios
+  within the dual tolerance (Harris).  After ``10 * (rows + cols)``
+  iterations the leaving row and entering column are chosen by least index
+  instead (Bland's rule for the dual), so degenerate models still
+  terminate.
 * The dense tableau is stored transposed (one contiguous array per column),
   and each pivot applies its rank-1 update only to the columns where the
   pivot row is nonzero.  Decoder pivot rows are mostly zero, and a skipped
-  column would only have had +-0 subtracted, so the pivot sequence and
-  every returned ``x`` are those of the full dense update.
+  column would only have had +-0 subtracted.
+* An ``infeasible`` answer is certified: the row the dual simplex could not
+  repair is aggregated again from the original rows with its multipliers
+  (its row of the basis inverse), and its least (or greatest) value over
+  the bounds, each slack also bounded by its row's activity, must miss the
+  aggregated rhs.  A certificate that fails raises :class:`NumericalError`.
 * Branch-and-bound branches on the integer variable whose fractional part is
   closest to 0.5, explores depth-first, and orders the two children so the
-  branch nearest the parent LP value is taken first.
+  branch nearest the parent LP value is taken first.  Each node starts
+  from its parent's optimal basis, which stays dual feasible when one
+  column is fixed: the child popped right after its parent continues on
+  the live tableau, moving only the branched column, and any other child
+  refactors the kept basis with one linear solve.
 * ``solve_lp`` and ``solve_ilp`` first run one exact presolve at the root
   (never at branch-and-bound nodes).  It takes the constraint nonzeros
   once as (row, column, value) triplets and propagates activity bounds
@@ -46,14 +64,17 @@ Implementation notes and defaults:
   infeasible with 0 nodes.  Rows touching a continuous variable are
   skipped.
 * Tolerances are fixed: feasibility 1e-9, integrality 1e-6, bound-pruning
-  1e-7.
+  1e-7; inside the dual simplex a basic value leaves when it is more than
+  half the feasibility tolerance out of bounds, and the dual and pivot
+  tolerances are 1e-9.
 * Every LP solve, the root relaxation and each branch-and-bound node alike,
   goes through one certified solve: an optimal point is re-checked for
   feasibility against the model before it is used, and an incumbent is
   re-checked after rounding.  Irrecoverable numerical trouble raises
   :class:`NumericalError` rather than returning a silently wrong answer;
-  that includes a non-finite constraint matrix (caught by the presolve)
-  and a simplex ray, which finite bounds rule out.
+  that includes a non-finite constraint matrix (caught by the presolve),
+  an infeasibility certificate that fails and a kept basis that has become
+  singular.
 """
 
 from __future__ import annotations
@@ -66,6 +87,11 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
 PRUNE_TOL = 1e-7
+_PRIMAL_TOL = 0.5 * FEASIBILITY_TOL
+_DUAL_TOL = 1e-9
+_PIVOT_TOL = 1e-9
+_WEIGHT_FLOOR = 1e-12
+_UPDATE_SLICE_BYTES = 1 << 20
 
 _RELATIONS = ("<=", "==", ">=")
 
@@ -151,6 +177,8 @@ class MilpSolution:
     ``model_shape`` is the shape of the model as given and
     ``presolved_shape`` the shape the simplex ran on (None when the presolve
     proved the model infeasible); a single node solve sets neither.
+    ``pivots`` counts the dual simplex iterations, summed over the root and
+    every branch-and-bound node.
     """
 
     status: str
@@ -159,6 +187,7 @@ class MilpSolution:
     nodes_explored: int = 0
     model_shape: Optional[ModelShape] = None
     presolved_shape: Optional[ModelShape] = None
+    pivots: int = 0
 
 
 def feasibility_violation(model: MilpModel,
@@ -201,171 +230,250 @@ def dump_model(model: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _simplex(model: MilpModel, lo, hi):
-    """Two-phase bounded-variable simplex on min c.x, A x rel b, lo<=x<=hi
-    for the rows and objective of ``model`` and the bounds ``lo``, ``hi``.
+class _Tableau:
+    """A basis of ``model``'s rows at the structural bounds ``lo``, ``hi``,
+    with its dense tableau, reduced costs and basic values.
 
-    Returns (status, x) with status in {optimal, infeasible}.
+    Each row gets one slack, ``A x + s = b``, with ``s`` in ``[0, inf)`` for
+    ``<=``, ``(-inf, 0]`` for ``>=`` and ``[0, 0]`` for ``==``, so the slack
+    columns start as the identity.  ``start`` is a ``(basis, at_upper)``
+    pair kept from an earlier solve (the slack basis when None); a kept
+    basis is refactored from the original rows, inverting only its block
+    of basic structural columns.
+    Every boxed nonbasic column whose reduced cost is not zero rests at the
+    bound its sign picks, so the slack basis, and a basis that was optimal
+    at other bounds, are dual feasible.
     """
-    c, a = model.objective, model.a_matrix
-    n = c.shape[0]
-    ub = hi - lo
-    b_eff = model.rhs - a @ lo
-    rel = np.asarray(model.relations, dtype=str)
-    sense = (rel == "<=").astype(np.intp) - (rel == ">=")  # +1 <=, 0 ==, -1 >=
-    m = a.shape[0]
 
-    # Negate rows with negative rhs (and their sense), then give every
-    # inequality a slack (+1 for <=, -1 for >=) and every row that is not <=
-    # an artificial, both in row order.
-    neg = b_eff < 0
-    np.negative(b_eff, out=b_eff, where=neg)
-    np.negative(sense, out=sense, where=neg)
-    slack_rows = np.flatnonzero(sense != 0)
-    art_rows = np.flatnonzero(sense != 1)
-    n_slack, n_art = slack_rows.size, art_rows.size
-    total = n + n_slack + n_art
-    slack_cols = n + np.arange(n_slack)
-    art_cols = n + n_slack + np.arange(n_art)
-    # Transposed tableau: tab_t[j, i] is row i, column j, so each column
-    # (the entering one, or one the pivot row touches) is contiguous.
-    tab_t = np.zeros((total, m))
-    tab_t[:n] = a.T
-    np.negative(tab_t[:n], out=tab_t[:n], where=neg)
-    tab_t[slack_cols, slack_rows] = sense[slack_rows]
-    tab_t[art_cols, art_rows] = 1.0
-    col_ub = np.concatenate([ub, np.full(n_slack + n_art, np.inf)])
-    is_art = np.zeros(total, dtype=bool)
-    is_art[art_cols] = True
-    basis = np.empty(m, dtype=np.intp)
-    basis[slack_rows] = slack_cols
-    basis[art_rows] = art_cols
+    def __init__(self, model: MilpModel, lo, hi, start=None):
+        a, b = model.a_matrix, model.rhs
+        m, n = a.shape
+        rel = np.asarray(model.relations, dtype=str)
+        self.model = model
+        self.lo = np.concatenate([lo, np.where(rel == ">=", -np.inf, 0.0)])
+        self.hi = np.concatenate([hi, np.where(rel == "<=", np.inf, 0.0)])
+        self.pivots = 0
+        # Transposed tableau: tab_t[j, i] is row i, column j, so each column
+        # (the entering one, or one the pivot row touches) is contiguous.
+        # Its slack rows tab_t[n:] hold the transposed basis inverse.
+        self.tab_t = np.zeros((n + m, m))
+        if start is None:
+            self.basis = n + np.arange(m)
+            at_upper = np.zeros(n + m, dtype=bool)
+            self.tab_t[:n] = a.T
+        else:
+            self.basis, at_upper = start[0].copy(), start[1].copy()
+            # With the basic slacks' rows t and the others r, the basis is
+            # [[A_rS, 0], [A_tS, I]] up to order, so its inverse needs only
+            # the inverse of A_rS, whose size is the number of basic
+            # structural columns S.
+            pos_s = np.flatnonzero(self.basis < n)
+            pos_t = np.flatnonzero(self.basis >= n)
+            rows_t = self.basis[pos_t] - n
+            rows_r = np.setdiff1d(np.arange(m), rows_t)
+            cols_s = self.basis[pos_s]
+            try:
+                inv_rs = np.linalg.inv(a[np.ix_(rows_r, cols_s)])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError("kept basis is singular") from exc
+            inv_t = self.tab_t[n:]
+            inv_t[np.ix_(rows_r, pos_s)] = inv_rs.T
+            inv_t[np.ix_(rows_r, pos_t)] = -(a[np.ix_(rows_t, cols_s)] @ inv_rs).T
+            inv_t[rows_t, pos_t] = 1.0
+            np.matmul(a.T, inv_t, out=self.tab_t[:n])
+        self.tab_t[self.basis] = 0.0  # basic columns are exact unit vectors
+        self.tab_t[self.basis, np.arange(m)] = 1.0
+        beta = b @ self.tab_t[n:]
+        self.weights = np.einsum("ij,ij->j", self.tab_t[n:], self.tab_t[n:])
+        self.in_basis = np.zeros(n + m, dtype=bool)
+        self.in_basis[self.basis] = True
+        cost = np.concatenate([model.objective, np.zeros(m)])
+        self.d = cost - self.tab_t @ cost[self.basis]
+        self.d[self.basis] = 0.0
+        boxed = np.isfinite(self.lo) & np.isfinite(self.hi) & ~self.in_basis
+        self.at_upper = np.where(boxed & (np.abs(self.d) > _DUAL_TOL), self.d < 0, at_upper)
+        self.x_b = beta - self._nonbasic_values() @ self.tab_t
 
-    x_b = b_eff.copy()
-    at_upper = np.zeros(total, dtype=bool)
-    in_basis = np.zeros(total, dtype=bool)
-    in_basis[basis] = True
+    def _nonbasic_values(self) -> np.ndarray:
+        """Every column at its resting bound, with 0 for the basic ones."""
+        x = np.where(self.at_upper, self.hi, self.lo)
+        x[self.basis] = 0.0
+        return x
 
-    # Reduced-cost rows for both phases, updated by pivots.
-    z2 = np.zeros(total)
-    z2[:n] = c
-    z1 = np.zeros(total)
-    if n_art:
-        # Row-major copy, so the sum runs in the same order as on the
-        # untransposed tableau.
-        z1 -= np.ascontiguousarray(tab_t[:, art_rows].T).sum(axis=0)
-        z1[is_art] = 0.0
+    def start(self) -> tuple:
+        """The ``(basis, at_upper)`` pair that rebuilds this basis."""
+        return self.basis.copy(), self.at_upper.copy()
 
-    tol_d = 1e-9
-    tol_piv = 1e-10
-    scale = 1.0 + (np.abs(b_eff).max() if m else 0.0)
+    def set_bounds(self, lo, hi) -> None:
+        """Move to the structural bounds ``lo``, ``hi``.  A nonbasic column
+        moves with its bound; a basic one may leave its bounds, which the
+        dual simplex then repairs."""
+        old = self._nonbasic_values()
+        self.lo[:lo.size], self.hi[:hi.size] = lo, hi
+        moved = self._nonbasic_values() - old
+        j = np.flatnonzero(moved)
+        self.x_b -= moved[j] @ self.tab_t[j]
+
+    def point(self) -> np.ndarray:
+        """The structural values of the basic solution."""
+        x = np.where(self.at_upper, self.hi, self.lo)
+        x[self.basis] = self.x_b
+        return x[:self.model.num_vars]
+
+    def certify_infeasible(self, r: int, to_lower: bool) -> None:
+        """Raise NumericalError unless tableau row ``r``, whose basic
+        variable cannot reach its lower (``to_lower``) or upper bound, proves
+        the rows infeasible at the bounds once aggregated again from the
+        original rows with the row's multipliers."""
+        model = self.model
+        a, b, n = model.a_matrix, model.rhs, model.num_vars
+        lo, hi = self.lo[:n], self.hi[:n]
+        y = self.tab_t[n:, r]  # row r of the basis inverse
+        # Each slack s = b - A x is also bounded by its row's activity.
+        min_act = a @ lo + np.minimum(a, 0.0) @ (hi - lo)
+        max_act = a @ lo + np.maximum(a, 0.0) @ (hi - lo)
+        s_lo = np.maximum(self.lo[n:], b - max_act)
+        s_hi = np.minimum(self.hi[n:], b - min_act)
+        if (s_lo - s_hi > FEASIBILITY_TOL * (1.0 + np.abs(b))).any():
+            return  # a row that no point within the bounds satisfies
+        coef = np.concatenate([y @ a, y])
+        z_lo = np.concatenate([lo, np.minimum(s_lo, s_hi)])
+        z_hi = np.concatenate([hi, s_hi])
+        rhs = float(y @ b)
+        if to_lower:  # the row's least value over the bounds exceeds rhs
+            terms = np.minimum(coef * z_lo, coef * z_hi)
+            gap = terms.sum() - rhs
+        else:
+            terms = np.maximum(coef * z_lo, coef * z_hi)
+            gap = rhs - terms.sum()
+        if not gap > 1e-12 * (1.0 + abs(rhs) + np.abs(terms).sum()):
+            raise NumericalError("infeasibility certificate failed its re-check")
+
+
+def _simplex(tab: _Tableau):
+    """Bounded dual simplex from ``tab``'s dual feasible basis, updating
+    ``tab`` in place.
+
+    Returns (status, x) with status in {optimal, infeasible}; an infeasible
+    answer has passed ``tab.certify_infeasible``.
+    """
+    tab_t, basis, d, weights, x_b = tab.tab_t, tab.basis, tab.d, tab.weights, tab.x_b
+    lo, hi, at_upper, in_basis = tab.lo, tab.hi, tab.at_upper, tab.in_basis
+    m, total = basis.size, lo.size
+    n = total - m
+    movable = lo < hi  # a fixed column never enters
+    slice_cols = max(1, _UPDATE_SLICE_BYTES // (8 * m)) if m else 1
     bland_after = 10 * (m + total)
     max_iter = 200 * (m + total) + 20000
-
-    def infeasibility():
-        mask = is_art[basis]
-        return float(x_b[mask].sum()) if mask.any() else 0.0
-
-    def run_phase(z, phase):
-        nonlocal x_b
-        iters = 0
-        while True:
-            if phase == 1 and infeasibility() <= FEASIBILITY_TOL * scale:
-                return
-            cand_low = (~in_basis) & (~at_upper) & (col_ub > tol_piv) & (z < -tol_d)
-            cand_up = (~in_basis) & at_upper & (z > tol_d)
-            if not (cand_low.any() or cand_up.any()):
-                return
-            if iters > max_iter:
-                raise NumericalError("simplex iteration limit exceeded")
-            bland = iters > bland_after
-            if bland:
-                idx = np.flatnonzero(cand_low | cand_up)
-                e = int(idx[0])
-            else:
-                viol = np.where(cand_low, -z, 0.0) + np.where(cand_up, z, 0.0)
-                e = int(np.argmax(viol))
-            sigma = -1.0 if at_upper[e] else 1.0
-            col = tab_t[e]
-            move = sigma * col
-            # Ratio test: basic vars blocked at either bound, or the entering
-            # variable flips to its opposite bound.
-            limits = np.full(m, np.inf)
-            down = move > tol_piv
-            limits[down] = x_b[down] / move[down]
-            up = move < -tol_piv
-            if up.any():
-                ub_b = col_ub[basis[up]]
-                gaps = ub_b - x_b[up]
-                lim = np.where(np.isfinite(ub_b), gaps / (-move[up]), np.inf)
-                limits[up] = lim
-            row_min = float(limits.min()) if m else np.inf
-            delta = min(row_min, col_ub[e])
-            if not np.isfinite(delta):
-                # Every variable is bounded, so a ray is numerical trouble.
-                raise NumericalError("simplex found no blocking row or bound")
-            delta = max(delta, 0.0)
-            if col_ub[e] <= row_min + 1e-12 and np.isfinite(col_ub[e]):
-                # Bound flip: no basis change.
-                x_b -= move * col_ub[e]
-                at_upper[e] = not at_upper[e]
-                iters += 1
-                continue
-            tie = np.flatnonzero(limits <= delta + 1e-12)
-            if tie.size == 0:
-                raise NumericalError("ratio test failed to find a blocking row")
-            if bland:
-                r = int(tie[np.argmin(basis[tie])])
-            else:
-                r = int(tie[np.argmax(np.abs(col[tie]))])
-            piv = tab_t[e, r]
-            if abs(piv) < tol_piv:
-                raise NumericalError("pivot element vanished")
-            leaving = basis[r]
-            x_b -= move * delta
-            at_upper[leaving] = move[r] < 0  # blocked at upper bound
-            enter_val = (col_ub[e] - delta) if at_upper[e] else delta
-            prow = tab_t[:, r]
-            prow /= piv
-            factors = tab_t[e].copy()
-            factors[r] = 0.0
-            # Rank-1 update restricted to the pivot row's nonzero columns:
-            # every other column would have +-0 subtracted.
-            cols = prow.nonzero()[0]
-            tab_t[cols] -= np.multiply.outer(prow[cols], factors)
-            for zz in (z1, z2):
-                f = zz[e]
-                if f:
-                    zz -= f * prow
-            in_basis[leaving] = False
-            in_basis[e] = True
-            at_upper[e] = False
-            basis[r] = e
-            x_b[r] = enter_val
-            np.clip(x_b, 0.0, None, out=x_b)
-            iters += 1
-
-    if infeasibility() > FEASIBILITY_TOL * scale:
-        run_phase(z1, phase=1)
-        if infeasibility() > 1e-7 * scale:
+    iters = 0
+    while m:
+        lb, ub = lo[basis], hi[basis]
+        below = lb - x_b
+        viol = np.maximum(below, x_b - ub)
+        bland = iters > bland_after
+        if bland:
+            rows = np.flatnonzero(viol > _PRIMAL_TOL)
+            if not rows.size:
+                break
+            r = int(rows[np.argmin(basis[rows])])
+        else:
+            # Dual steepest edge: the violation over the norm of its row of
+            # the basis inverse.
+            r = int(np.argmax(np.where(viol > _PRIMAL_TOL, viol * viol / weights, 0.0)))
+            if viol[r] <= _PRIMAL_TOL:
+                break
+        if iters > max_iter:
+            raise NumericalError("dual simplex iteration limit exceeded")
+        to_lower = bool(below[r] > 0)
+        alpha = tab_t[:, r].copy()  # the pivot row
+        # gain > 0: moving the column off its bound moves the leaving
+        # variable toward its violated bound.
+        gain = np.where(at_upper, alpha, -alpha)
+        if not to_lower:
+            np.negative(gain, out=gain)
+        cand = np.flatnonzero(movable & ~in_basis & (gain > _PIVOT_TOL))
+        if not cand.size:
+            tab.certify_infeasible(r, to_lower)
             return "infeasible", None
-    col_ub[is_art] = 0.0  # artificials may never re-enter
+        # Dual ratio test: the entering column's reduced cost reaches 0 first.
+        step = np.where(at_upper[cand], -d[cand], d[cand])
+        g = gain[cand]
+        if bland:
+            ratio = np.maximum(step, 0.0) / g
+            q = int(cand[np.flatnonzero(ratio <= ratio.min() + 1e-12)[0]])
+        else:
+            # Bound flipping: pass every breakpoint whose column can flip to
+            # its other bound while the leaving variable stays out of
+            # bounds.  Then Harris among the rest: the largest pivot within
+            # the tolerance-widened least ratio.
+            order = np.argsort(np.maximum(step, 0.0) / g, kind="stable")
+            room = np.cumsum(g[order] * (hi - lo)[cand[order]])
+            k = int(np.searchsorted(room, viol[r] - _PRIMAL_TOL))
+            if k == order.size:
+                tab.certify_infeasible(r, to_lower)
+                return "infeasible", None
+            rest = order[k:]
+            ok = step[rest] / g[rest] <= ((step[rest] + _DUAL_TOL) / g[rest]).min()
+            q = int(cand[rest[ok][np.argmax(g[rest[ok]])]])
+            flip = cand[order[:k]]
+            if flip.size:
+                moved = np.where(at_upper[flip], lo[flip] - hi[flip], hi[flip] - lo[flip])
+                at_upper[flip] = ~at_upper[flip]
+                x_b -= moved @ tab_t[flip]
+        piv = alpha[q]
+        if (d[q] < 0) != at_upper[q]:
+            d[q] = 0.0  # drop a reduced cost within the tolerance of the wrong sign
+        d -= (d[q] / piv) * alpha
+        d[q] = 0.0
+        p = basis[r]
+        theta = (x_b[r] - (lb[r] if to_lower else ub[r])) / piv
+        enter = (hi[q] if at_upper[q] else lo[q]) + theta
+        col = tab_t[q].copy()
+        x_b -= theta * col
+        x_b[r] = enter
+        at_upper[p], at_upper[q] = not to_lower, False
+        in_basis[p], in_basis[q] = False, True
+        basis[r] = q
+        w_r = weights[r]
+        prow = tab_t[:, r]
+        prow /= piv
+        col[r] = 0.0
+        # Rank-1 update restricted to the pivot row's nonzero columns (every
+        # other column would have +-0 subtracted), a slice of them at a
+        # time so that its temporaries stay small beside the tableau.  The
+        # steepest-edge weights follow the changed rows of the basis
+        # inverse, the slack columns; row r of the inverse is only divided
+        # by piv.
+        cols = prow.nonzero()[0]
+        for first in range(0, cols.size, slice_cols):
+            part = cols[first:first + slice_cols]
+            block = tab_t[part]
+            inv = block[np.searchsorted(part, n):]
+            weights -= np.einsum("ij,ij->j", inv, inv)
+            block -= np.multiply.outer(prow[part], col)
+            weights += np.einsum("ij,ij->j", inv, inv)
+            tab_t[part] = block
+        weights[r] = w_r / (piv * piv)
+        np.maximum(weights, _WEIGHT_FLOOR, out=weights)
+        iters += 1
+        tab.pivots += 1
+    return "optimal", tab.point()
 
-    run_phase(z2, phase=2)
-    x_full = np.where(at_upper & np.isfinite(col_ub), col_ub, 0.0)
-    x_full[basis] = x_b
-    return "optimal", lo + x_full[:n]
 
-
-def _solve_node(model: MilpModel, lo: np.ndarray, hi: np.ndarray) -> MilpSolution:
-    """The LP over ``model``'s rows at the bounds ``lo``, ``hi``; an optimal
-    point has passed the feasibility re-check against ``model``."""
-    status, x = _simplex(model, lo, hi)
+def _solve_node(tab: _Tableau) -> MilpSolution:
+    """The LP over ``tab``'s model rows at ``tab``'s bounds, from its basis;
+    an optimal point has passed the feasibility re-check against the
+    model."""
+    before = tab.pivots
+    status, x = _simplex(tab)
+    pivots = tab.pivots - before
     if status != "optimal":
-        return MilpSolution(status, None, None)
+        return MilpSolution(status, None, None, pivots=pivots)
+    model = tab.model
     if feasibility_violation(model, x) > FEASIBILITY_TOL:
         raise NumericalError("optimal LP solution failed the feasibility re-check")
-    return MilpSolution("optimal", x, float(model.objective @ x) + model.objective_constant)
+    return MilpSolution("optimal", x, float(model.objective @ x) + model.objective_constant,
+                        pivots=pivots)
 
 
 @dataclass(frozen=True)
@@ -386,14 +494,16 @@ class _Presolved:
         point scattered to full length, re-checked against ``original`` at
         ``tol`` and given ``original``'s objective."""
         if sol.x is None:
-            return MilpSolution(sol.status, None, None, sol.nodes_explored, *self.shapes)
+            return MilpSolution(sol.status, None, None, sol.nodes_explored, *self.shapes,
+                                pivots=sol.pivots)
         x = self.x.copy()
         x[self.free] = sol.x
         if feasibility_violation(original, x) > tol:
             raise NumericalError("postsolved point failed the feasibility "
                                  "re-check against the original model")
         obj = float(original.objective @ x) + original.objective_constant
-        return MilpSolution(sol.status, x, obj, sol.nodes_explored, *self.shapes)
+        return MilpSolution(sol.status, x, obj, sol.nodes_explored, *self.shapes,
+                            pivots=sol.pivots)
 
 
 def _presolve(model: MilpModel, integral: np.ndarray) -> _Presolved:
@@ -473,7 +583,7 @@ def solve_lp(model: MilpModel) -> MilpSolution:
     if pre.model is None:
         sol = MilpSolution("infeasible", None, None)
     else:
-        sol = _solve_node(pre.model, pre.model.lower, pre.model.upper)
+        sol = _solve_node(_Tableau(pre.model, pre.model.lower, pre.model.upper))
     return pre.postsolve(model, sol, FEASIBILITY_TOL)
 
 
@@ -507,20 +617,33 @@ def solve_ilp(model: MilpModel, node_limit: int = 200_000) -> MilpSolution:
 
 
 def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
-    """Depth-first branch-and-bound from ``model``'s own bounds."""
+    """Depth-first branch-and-bound from ``model``'s own bounds.
+
+    Each stack entry keeps its parent's final basis: the child popped right
+    after its parent continues on the live tableau, any other child
+    rebuilds its tableau from the kept basis.
+    """
     int_idx = np.flatnonzero(model.integer_mask)
     c = model.objective
     best_x = None
     best_obj = np.inf
-    nodes = 0
-    stack = [(model.lower.copy(), model.upper.copy())]
+    nodes = pivots = 0
+    tab = live = None
+    stack = [(model.lower, model.upper, None)]
     while stack:
         if nodes >= node_limit:
             obj = best_obj if best_x is not None else None
-            return MilpSolution("node_limit", best_x, obj, nodes)
-        lo, hi = stack.pop()
-        sol = _solve_node(model, lo, hi)
+            return MilpSolution("node_limit", best_x, obj, nodes, pivots=pivots)
+        lo, hi, start = stack.pop()
+        if live is not None and start is live:
+            tab.set_bounds(lo, hi)
+        else:
+            tab = None  # freed before its successor is built
+            tab = _Tableau(model, lo, hi, start)
+        live = None
+        sol = _solve_node(tab)
         nodes += 1
+        pivots += sol.pivots
         if sol.status == "infeasible":
             continue
         if sol.objective_value >= best_obj - PRUNE_TOL:
@@ -543,10 +666,11 @@ def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
             dist = np.abs((x[cands] - np.floor(x[cands])) - 0.5)
             j = int(cands[np.argmin(dist)])
         near = int(round(float(np.clip(x[j], 0.0, 1.0))))
+        live = tab.start()
         for val in (1 - near, near):  # LIFO: nearest branch explored first
             lo_c, hi_c = lo.copy(), hi.copy()
             lo_c[j] = hi_c[j] = float(val)
-            stack.append((lo_c, hi_c))
+            stack.append((lo_c, hi_c, live))
     if best_x is None:
-        return MilpSolution("infeasible", None, None, nodes)
-    return MilpSolution("optimal", best_x, best_obj, nodes)
+        return MilpSolution("infeasible", None, None, nodes, pivots=pivots)
+    return MilpSolution("optimal", best_x, best_obj, nodes, pivots=pivots)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, get_type_hints
+from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -22,11 +22,13 @@ class TestDesign:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.uint8)
+        mat = np.asarray(self.matrix)
         if mat.ndim != 2:
             raise ValueError("design matrix must be 2-dimensional")
+        # Checked before the cast, which would wrap 256 to 0 and cut 0.7 to 0.
         if not np.isin(mat, (0, 1)).all():
             raise ValueError("design entries must be 0 or 1")
+        mat = mat.astype(np.uint8, copy=False)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         if self.bernoulli_p is not None and not (0.0 <= self.bernoulli_p <= 1.0):
@@ -67,7 +69,7 @@ class OutcomeVector:
     def parse(cls, text: str) -> "OutcomeVector":
         text = text.strip()
         if text.startswith("["):
-            return cls(tuple(json.loads(text)))
+            return cls(check_json_field("outcomes", json.loads(text), Tuple[int, ...]))
         return cls(tuple(int(c) for c in text))
 
 
@@ -151,10 +153,11 @@ def design_from_text(text: str) -> TestDesign:
         if "matrix" not in obj:
             raise ValueError("design JSON has no 'matrix'")
         hints = get_type_hints(TestDesign)
+        matrix = check_json_field("design matrix", obj["matrix"], Tuple[Tuple[int, ...], ...])
         p = check_json_field("design p", obj.get("p"), hints["bernoulli_p"])
         seed = check_json_field("design seed", obj.get("seed"), hints["seed"])
-        return TestDesign(np.array(obj["matrix"], dtype=np.uint8),
-                          bernoulli_p=None if p is None else float(p), seed=seed)
+        return TestDesign(np.array(matrix), bernoulli_p=None if p is None else float(p),
+                          seed=seed)
     p = None
     seed = None
     rows = []
@@ -170,4 +173,4 @@ def design_from_text(text: str) -> TestDesign:
                     seed = int(token[5:])
             continue
         rows.append([int(v) for v in line.split(",")])
-    return TestDesign(np.array(rows, dtype=np.uint8), bernoulli_p=p, seed=seed)
+    return TestDesign(np.array(rows), bernoulli_p=p, seed=seed)

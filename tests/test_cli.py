@@ -75,6 +75,7 @@ class TestDecodeCommand:
         obj = json.loads(out)
         assert obj["solver_status"] == "optimal"
         assert len(obj["estimate"]) == 9
+        assert isinstance(obj["pivots"], int) and obj["nodes"] >= 1
 
     def test_outcomes_from_file(self, tmp_path, capsys):
         dpath = tmp_path / "design.json"
@@ -102,12 +103,35 @@ class TestDecodeCommand:
     @pytest.mark.parametrize("body", [
         {"matrix": [[0, 1]], "p": [0.5]},
         {"matrix": [[0, 1]], "p": 0.5, "seed": "7"},
-    ], ids=["list-p", "string-seed"])
+        {"matrix": [[256, 0]]},
+        {"matrix": [[0.7, 1]]},
+        {"matrix": [[True, 0]]},
+        {"matrix": [0, 1]},
+    ], ids=["list-p", "string-seed", "entry-256", "fractional-entry", "bool-entry",
+            "flat-matrix"])
     def test_wrongly_typed_design_value_is_usage_error(self, tmp_path, capsys, body):
         dpath = tmp_path / "design.json"
         dpath.write_text(json.dumps(body))
         code, _, err = run(capsys, "decode", "--design", str(dpath),
                            "--outcomes", "0", "--decoder", "sparsity")
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("cells", ["256,0", "0.7,1", "-1,0"])
+    def test_bad_csv_design_entry_is_usage_error(self, tmp_path, capsys, cells):
+        dpath = tmp_path / "design.csv"
+        dpath.write_text(f"# t=1 n=2\n{cells}\n")
+        code, _, err = run(capsys, "decode", "--design", str(dpath),
+                           "--outcomes", "0", "--decoder", "sparsity")
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("outcomes", ["[[1]]", "[true, 0]", "[0.7]", "[2]", "2"])
+    def test_bad_outcomes_are_usage_error(self, tmp_path, capsys, outcomes):
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps({"matrix": [[1, 0]]}))
+        code, _, err = run(capsys, "decode", "--design", str(dpath),
+                           "--outcomes", outcomes, "--decoder", "sparsity")
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
@@ -123,6 +147,7 @@ class TestDecodeCommand:
         assert obj["estimate"] == "0010"
         assert obj["model_shape"] == {"rows": 2, "vars": 4, "nnz": 4}
         assert obj["presolved_shape"] == {"rows": 0, "vars": 1, "nnz": 0}
+        assert obj["pivots"] == 0  # no row is left for the simplex
 
     def test_noisy_sparsity_needs_eta(self, tmp_path, capsys):
         dpath = tmp_path / "design.json"

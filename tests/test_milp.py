@@ -311,9 +311,103 @@ class TestKernelDifferential:
         mdl = build_model(DecoderSpec("ising_map", prior=prior), design, y)
         sol = solve_ilp(mdl)
         assert sol.status == "optimal" and sol.nodes_explored == nodes
+        if trial == 1:  # warm starts: a few dual simplex iterations per node
+            assert 0 < sol.pivots < 10 * nodes
         status, fun = highs(mdl, integer=True)
         assert status == 0
         assert abs(sol.objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
+
+
+def fuzzed_mixed_model(rng):
+    """A mixed 0/1-integer model with ``==`` rows and nonzero lower bounds
+    on continuous columns; its rhs is met by a random point, plus a shift."""
+    n = int(rng.integers(2, 11))
+    k = int(rng.integers(1, 9))
+    integer = rng.random(n) < 0.6
+    lo = np.where(integer | (rng.random(n) < 0.4), 0.0, rng.uniform(0.0, 2.0, n))
+    hi = np.where(integer, 1.0, lo + rng.uniform(0.5, 3.0, n))
+    a = np.where(rng.random((k, n)) < 0.4, 0.0, rng.integers(-5, 6, (k, n)))
+    a = a * np.where(rng.random((k, n)) < 0.3, rng.uniform(0.5, 2.0, (k, n)), 1.0)
+    rel = [("<=", "==", ">=")[i] for i in rng.integers(0, 3, k)]
+    point = np.where(integer, rng.integers(0, 2, n), rng.uniform(lo, hi))
+    b = a @ point + np.where(rng.random(k) < 0.6, 0.0, rng.normal(size=k))
+    return MilpModel(rng.normal(size=n), lo, hi, a, tuple(rel), b, integer)
+
+
+class TestWarmStarts:
+    """Branch-and-bound nodes continue from their parent's basis; each must
+    answer as a cold solve at its own bounds and as HiGHS."""
+
+    def test_warm_started_nodes_match_cold_solves_and_highs(self, monkeypatch):
+        nodes = []  # (tableau, its bounds when the node was solved, answer)
+        solve_node = milp._solve_node
+
+        def recording(tab):
+            n = tab.model.num_vars
+            lo, hi = tab.lo[:n].copy(), tab.hi[:n].copy()
+            sol = solve_node(tab)
+            nodes.append((tab, lo, hi, sol))
+            return sol
+
+        monkeypatch.setattr(milp, "_solve_node", recording)
+        rng = np.random.default_rng(107)
+        continued = rebuilt = infeasible = 0
+        for _ in range(150):
+            nodes.clear()
+            solve_ilp(fuzzed_mixed_model(rng))
+            for i, (tab, lo, hi, warm) in enumerate(nodes):
+                m = tab.model
+                if not m.num_vars:  # the presolve fixed every column
+                    continue
+                cold = solve_node(milp._Tableau(m, lo, hi))
+                assert warm.status == cold.status
+                at_node = MilpModel(m.objective, lo, hi, m.a_matrix, m.relations, m.rhs,
+                                    m.integer_mask, m.objective_constant)
+                status, fun = highs(at_node)
+                assert status == (0 if warm.status == "optimal" else 2)
+                if status == 0:
+                    for got in (warm.objective_value, cold.objective_value):
+                        assert abs(got - fun) <= 1e-7 * max(1.0, abs(fun))
+                if i:
+                    continued += tab is nodes[i - 1][0]
+                    rebuilt += tab is not nodes[i - 1][0]
+                infeasible += warm.status == "infeasible"
+        assert continued > 50 and rebuilt > 50 and infeasible > 40
+
+    def test_moved_nonbasic_bound_matches_a_cold_solve(self):
+        # Branching fixes a basic column; set_bounds must also carry a
+        # nonbasic column, and the basic values with it, to a new bound.
+        rng = np.random.default_rng(108)
+        moved = 0
+        for _ in range(100):
+            m = fuzzed_mixed_model(rng)
+            tab = milp._Tableau(m, m.lower, m.upper)
+            if milp._solve_node(tab).status != "optimal":
+                continue
+            n = m.num_vars
+            free = np.flatnonzero(~tab.in_basis[:n] & (tab.lo[:n] < tab.hi[:n]))
+            if not free.size:
+                continue
+            j = free[0]
+            lo, hi = tab.lo[:n].copy(), tab.hi[:n].copy()
+            lo[j] = hi[j] = lo[j] if tab.at_upper[j] else hi[j]  # the other bound
+            tab.set_bounds(lo, hi)
+            warm, cold = milp._solve_node(tab), milp._solve_node(milp._Tableau(m, lo, hi))
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert abs(warm.objective_value - cold.objective_value) <= 1e-9 * max(
+                    1.0, abs(cold.objective_value))
+                moved += 1
+        assert moved > 30
+
+    def test_corrupted_infeasibility_certificate_raises(self):
+        # x0 + x1 >= 1 holds at x = (1, 0); negating the tableau's row makes
+        # the simplex see no column that can repair the violated slack.
+        m = model([1.0, 1.0], [[1.0, 1.0]], [">="], [1.0])
+        tab = milp._Tableau(m, m.lower, m.upper)
+        tab.tab_t[:2, 0] *= -1.0
+        with pytest.raises(NumericalError, match="certificate"):
+            milp._simplex(tab)
 
 
 def decoder_model(family, matrix, y, rho=0.0, relaxed=False, lam=0.5, phi=0.1,
@@ -339,7 +433,7 @@ def assert_matches_references(m):
     """solve_lp against the simplex on the unreduced model and HiGHS, and
     solve_ilp against scipy's milp; returns the presolve's reduced shape."""
     lp = solve_lp(m)
-    node = milp._solve_node(m, m.lower, m.upper)
+    node = milp._solve_node(milp._Tableau(m, m.lower, m.upper))
     status, fun = highs(m)
     assert status in (0, 2)
     assert lp.status == node.status == ("optimal" if status == 0 else "infeasible")

@@ -123,3 +123,19 @@ class TestDesignSerialization:
     def test_outcome_parse(self):
         assert OutcomeVector.parse("0110").y == (0, 1, 1, 0)
         assert OutcomeVector.parse("[0, 1]").y == (0, 1)
+
+    @pytest.mark.parametrize("text", ["[[1]]", "[true, 0]", "[0.7]", "[1, null]"])
+    def test_outcome_parse_rejects_non_integers(self, text):
+        with pytest.raises(ValueError):
+            OutcomeVector.parse(text)
+
+    @pytest.mark.parametrize("entries", [[[256, 0]], [[0.7, 1]], [[-1, 0]]])
+    def test_design_entries_are_checked_before_the_cast(self, entries):
+        with pytest.raises(ValueError, match="0 or 1"):
+            TestDesign(np.array(entries))
+
+    @pytest.mark.parametrize("text", ['{"matrix": [[256, 0]]}', '{"matrix": [[0.7, 1]]}',
+                                      "256,0\n", "0,1\n1,256\n"])
+    def test_design_text_rejects_entries_other_than_0_or_1(self, text):
+        with pytest.raises(ValueError):
+            design_from_text(text)
