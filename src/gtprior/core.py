@@ -22,10 +22,7 @@ class DefectivityVector:
     bits: tuple
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("defectivity entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", binary_entries("defectivity entries", self.bits))
 
     @property
     def n(self) -> int:
@@ -66,7 +63,7 @@ class DefectivityVector:
 
     @classmethod
     def from_array(cls, arr: Iterable[int]) -> "DefectivityVector":
-        return cls(tuple(int(v) for v in arr))
+        return cls(tuple(arr))
 
 
 @dataclass(frozen=True)
@@ -135,6 +132,22 @@ def approx_distance(a: DefectiveSet, b: DefectiveSet) -> int:
         raise ValueError(f"dimension mismatch: a.n={a.n}, b.n={b.n}")
     sa, sb = set(a.members), set(b.members)
     return max(len(sa - sb), len(sb - sa))
+
+
+def binary_entries(name: str, values: Iterable) -> tuple:
+    """``values`` as a tuple of Python ints, each 0 or 1.
+
+    Only ints and numpy integers are taken: a bool, a float or anything
+    else is a ValueError naming ``name``, as :func:`check_json_field`
+    rejects them for an int field, rather than being cast to 0 or 1.
+    """
+    values = tuple(values)
+    for v in values:
+        if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                or v not in (0, 1)):
+            raise ValueError(f"{name} must be 0 or 1 ints, not "
+                             f"{type(v).__name__}: {v!r}")
+    return tuple(int(v) for v in values)
 
 
 def check_json_field(name: str, value, hint):

@@ -7,7 +7,10 @@ Families:
   decoder that ignores graph structure.
 * ``ising_map`` -- exact MAP under the Ising prior, written as an integer
   linear program by linearizing each product u_j*u_j' with an auxiliary
-  edge variable constrained by u_j >= w, u_j' >= w, u_j + u_j' - w <= 1.
+  edge variable w.  Only the McCormick rows its cost can make bind are
+  kept: u_j >= w and u_j' >= w for an attractive edge (lambda > 0, so w
+  wants to be large), u_j + u_j' - w <= 1 for a repulsive one (lambda < 0),
+  and none for lambda = 0.
 
 Either family can be relaxed to a box-constrained LP and rounded (ties at
 0.5 round to 1, the defective side).  A brute-force MAP oracle and the
@@ -20,10 +23,11 @@ encoding (sum = xi_i) would additionally forbid two defectives from sharing
 a negative test, breaking exact MAP equivalence.
 
 Model layout: variables are u (n), then one w per edge (ising_map), then
-xi (t, noisy only); rows are the t outcome rows in test order, then three
-rows per edge.  Both builders fill one preallocated dense matrix by block
-and index writes; :func:`decoder_spec` derives the noise model and the
-default flip penalty eta from the noise level.
+xi (t, noisy only); rows are the t outcome rows in test order, then each
+edge's two, one or no rows in edge order.  Both builders fill one
+preallocated dense matrix by block and index writes; :func:`decoder_spec`
+derives the noise model and the default flip penalty eta from the noise
+level.
 """
 
 from __future__ import annotations
@@ -182,26 +186,40 @@ def _assemble(design: TestDesign, y: OutcomeVector, c: np.ndarray,
               xi_offset: Optional[int], edges: np.ndarray, relaxed: bool,
               objective_constant: float = 0.0) -> MilpModel:
     """Binary model with objective ``c`` over the outcome rows of
-    C_noiseless (xi_offset None) or the noisy variant, then the three
-    linearization rows of edge k (w <= u_a, w <= u_b, u_a + u_b - w <= 1)
-    at rows t+3k, t+3k+1, t+3k+2 with w = n + k."""
+    C_noiseless (xi_offset None) or the noisy variant, then the
+    linearization rows of each edge k, in edge order, for w = n + k.
+
+    Only the McCormick rows that can bind at an optimum are emitted
+    (Padberg, *The boolean quadric polytope*, 1989): ``w <= u_a`` and
+    ``w <= u_b`` when w's cost is negative (lambda > 0), ``u_a + u_b - w <=
+    1`` when it is positive (lambda < 0), and no row when it is 0.  Moving
+    w alone toward the bound its cost picks never raises the objective and
+    ends on a point that meets the dropped rows too (w = u_a * u_b at
+    binary u), so the ILP and its LP relaxation keep their optimal values.
+    """
     n, t, nv, ne = design.n, design.t, c.shape[0], edges.shape[0]
     neg = y.to_numpy() == 0
-    a = np.zeros((t + 3 * ne, nv))
+    cw = c[n:n + ne]
+    per_edge = 2 * (cw < 0) + (cw > 0)
+    first = t + np.cumsum(per_edge) - per_edge
+    nr = t + int(per_edge.sum())
+    a = np.zeros((nr, nv))
     a[:t, :n] = design.matrix
-    rels = np.full(t + 3 * ne, "<=")
+    rels = np.full(nr, "<=")
     rels[:t] = np.where(neg, "==" if xi_offset is None else "<=", ">=")
-    rhs = np.zeros(t + 3 * ne)
+    rhs = np.zeros(nr)
     rhs[:t] = ~neg
     if xi_offset is not None:
         tests = np.arange(t)
         a[tests, xi_offset + tests] = np.where(neg, -a[:t, :n].sum(axis=1), 1.0)
-    r, w = t + 3 * np.arange(ne), n + np.arange(ne)
-    ua, ub = edges[:, 0], edges[:, 1]
-    a[r, w], a[r, ua] = 1.0, -1.0
-    a[r + 1, w], a[r + 1, ub] = 1.0, -1.0
-    a[r + 2, ua], a[r + 2, ub], a[r + 2, w] = 1.0, 1.0, -1.0
-    rhs[r + 2] = 1.0
+    k = np.flatnonzero(per_edge == 2)
+    r, w = first[k], n + k
+    a[r, w], a[r, edges[k, 0]] = 1.0, -1.0
+    a[r + 1, w], a[r + 1, edges[k, 1]] = 1.0, -1.0
+    k = np.flatnonzero(per_edge == 1)
+    r = first[k]
+    a[r, edges[k, 0]], a[r, edges[k, 1]], a[r, n + k] = 1.0, 1.0, -1.0
+    rhs[r] = 1.0
     return MilpModel(
         objective=c,
         lower=np.zeros(nv),

@@ -46,12 +46,15 @@ Implementation notes and defaults:
   column is only ever fixed, when its implied interval closes.  In group
   testing this is COMP (an item in a negative test is 0), DD (the lone
   candidate of a positive test is 1) and the fixing of each edge
-  product with its endpoints.  Fixed columns are dropped, their values
-  folded into the rhs and the objective constant, and rows that hold for
-  every point of the tightened bounds (or that no free column touches) are
-  dropped too, so the simplex never sees an empty row.  Bounds that
-  conflict, or a row that no point of the bounds satisfies, prove the model
-  infeasible with 0 nodes.  A model the presolve leaves unchanged is solved
+  product with its endpoints.  Rows that hold for every point of the
+  tightened bounds (or that no free column touches) are dropped, so the
+  simplex never sees an empty row, and a free column that no kept row
+  touches is fixed at the bound its cost picks (the upper one for a
+  negative cost, else the lower one): an item in no test, an edge product
+  whose endpoints are both 1, an edge with lambda = 0.  Fixed columns are
+  dropped, their values folded into the rhs and the objective constant.
+  Bounds that conflict, or a row that no point of the bounds satisfies,
+  prove the model infeasible with 0 nodes.  A model the presolve leaves unchanged is solved
   as given, with no copy.
 * Postsolve scatters the reduced solution back into a full-length point
   and re-checks it against the original model (at the feasibility
@@ -507,8 +510,9 @@ class _Presolved:
 
 
 def _presolve(model: MilpModel, integral: np.ndarray) -> _Presolved:
-    """Propagate activity bounds to a fixed point, then drop the fixed
-    columns and the rows that can no longer be violated.
+    """Propagate activity bounds to a fixed point, drop the rows that can no
+    longer be violated, fix each column no kept row touches at the bound its
+    cost picks, and drop the fixed columns.
 
     ``integral`` marks the columns whose implied bounds are rounded (the
     integer columns for an ILP, none for an LP relaxation).
@@ -552,10 +556,15 @@ def _presolve(model: MilpModel, integral: np.ndarray) -> _Presolved:
         lo, hi = new_lo, new_hi
 
     free = lo < hi
-    x = np.where(free, 0.0, lo)
     free_nz = free[cj]
     redundant = (np.bincount(ri, free_nz, minlength=m) == 0) | (
         (~has_le | (max_act <= b)) & (~has_ge | (min_act >= b)))
+    # A free column that no kept row touches is bounded by its box alone:
+    # fix it at the bound its cost picks.
+    loose = free & (np.bincount(cj, ~redundant[ri], minlength=n) == 0)
+    lo = np.where(loose & (model.objective < 0), hi, lo)
+    free &= ~loose
+    x = np.where(free, 0.0, lo)
     if free.all() and not redundant.any():
         return _Presolved(model, x, free, (shape, shape))
     rows, cols = np.flatnonzero(~redundant), np.flatnonzero(free)

@@ -9,7 +9,7 @@ from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from .core import DefectivityVector, check_json_field
+from .core import DefectivityVector, binary_entries, check_json_field
 from .rng import RNG_ID, generator
 
 
@@ -50,10 +50,7 @@ class OutcomeVector:
     y: tuple
 
     def __post_init__(self):
-        y = tuple(int(v) for v in self.y)
-        if any(v not in (0, 1) for v in y):
-            raise ValueError("outcomes must be 0 or 1")
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", binary_entries("outcomes", self.y))
 
     @property
     def t(self) -> int:
@@ -122,7 +119,7 @@ def run_tests(design: TestDesign, u: DefectivityVector, noise: NoiseSpec,
             raise ValueError("symmetric noise requires a seed")
         flips = generator(seed).random(design.t) < noise.rho
         y = y ^ flips.astype(np.uint8)
-    return OutcomeVector(tuple(int(v) for v in y))
+    return OutcomeVector(tuple(y.tolist()))
 
 
 def design_to_json(design: TestDesign) -> str:

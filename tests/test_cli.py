@@ -137,7 +137,8 @@ class TestDecodeCommand:
 
     def test_decode_reports_model_shapes(self, tmp_path, capsys):
         # Test 0 = {0, 1} is negative and test 1 = {1, 2} positive: the
-        # presolve fixes items 0-2 and leaves item 3 and no rows.
+        # presolve fixes items 0-2, and item 3, in no test, at its cost's
+        # bound 0, leaving nothing.
         dpath = tmp_path / "design.json"
         dpath.write_text(json.dumps({"matrix": [[1, 1, 0, 0], [0, 1, 1, 0]]}))
         code, out, _ = run(capsys, "decode", "--design", str(dpath),
@@ -146,7 +147,7 @@ class TestDecodeCommand:
         obj = json.loads(out)
         assert obj["estimate"] == "0010"
         assert obj["model_shape"] == {"rows": 2, "vars": 4, "nnz": 4}
-        assert obj["presolved_shape"] == {"rows": 0, "vars": 1, "nnz": 0}
+        assert obj["presolved_shape"] == {"rows": 0, "vars": 0, "nnz": 0}
         assert obj["pivots"] == 0  # no row is left for the simplex
 
     def test_noisy_sparsity_needs_eta(self, tmp_path, capsys):

@@ -98,6 +98,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             DefectivityVector.from_string("012")
 
+    @pytest.mark.parametrize("bits", [(0.9, 1), (True, 0), (0, np.bool_(True)),
+                                      (np.float64(1.0),), ("1",), (None,)])
+    def test_entries_other_than_integer_0_or_1_rejected(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            DefectivityVector(bits)
+
+    def test_integer_entries_become_python_ints(self):
+        for u in (DefectivityVector((np.int64(1), np.uint8(0))),
+                  DefectivityVector.from_array(np.array([1, 0], dtype=np.int8))):
+            assert u.bits == (1, 0) and all(type(b) is int for b in u.bits)
+        with pytest.raises(ValueError):
+            DefectivityVector.from_array(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            DefectivityVector.parse("[true, 0]")
+
     def test_support_round_trip(self):
         u = vec(1, 0, 0, 1, 1)
         s = u.support()

@@ -12,7 +12,7 @@ from gtprior.decoders import (CandidateFamily, DecoderSpec, ModelViolationError,
                               map_score, n_tau_counts, n_tilde_max,
                               round_relaxed, sparsity_flip_penalty,
                               threshold_decode)
-from gtprior.milp import solve_ilp, solve_lp
+from gtprior.milp import MilpModel, solve_ilp, solve_lp
 from gtprior.prior import (IsingPrior, ItemGraph, build_grid, gibbs_sample,
                            log_unnormalized_prob)
 from gtprior.rng import generator
@@ -129,15 +129,83 @@ class TestIsingLinearization:
             -map_score(prior, bf, design, y, NoiseSpec()), abs=1e-9)
 
 
+def three_row_model(model, design, prior):
+    """``model`` with every edge's full McCormick triple (w <= u_a, w <= u_b,
+    u_a + u_b - w <= 1) in place of the rows the builder kept by sign."""
+    n, t, edges = design.n, design.t, prior.graph.edges
+    rows = np.zeros((3 * len(edges), model.num_vars))
+    for k, (a, b) in enumerate(edges):
+        rows[3 * k, [n + k, a]] = 1.0, -1.0
+        rows[3 * k + 1, [n + k, b]] = 1.0, -1.0
+        rows[3 * k + 2, [a, b, n + k]] = 1.0, 1.0, -1.0
+    return MilpModel(model.objective, model.lower, model.upper,
+                     np.vstack([model.a_matrix[:t], rows]),
+                     model.relations[:t] + ("<=",) * len(rows),
+                     np.concatenate([model.rhs[:t], np.tile([0.0, 0.0, 1.0], len(edges))]),
+                     model.integer_mask, model.objective_constant)
+
+
+def linprog_objective(model):
+    """The LP optimum of ``model`` (objective constant included) under HiGHS."""
+    opt = pytest.importorskip("scipy.optimize")
+    rel = np.asarray(model.relations)
+    le, ge, eq = rel == "<=", rel == ">=", rel == "=="
+    res = opt.linprog(model.objective,
+                      A_ub=np.vstack([model.a_matrix[le], -model.a_matrix[ge]]),
+                      b_ub=np.concatenate([model.rhs[le], -model.rhs[ge]]),
+                      A_eq=model.a_matrix[eq] if eq.any() else None,
+                      b_eq=model.rhs[eq] if eq.any() else None,
+                      bounds=np.column_stack([model.lower, model.upper]), method="highs")
+    assert res.status == 0
+    return float(res.fun) + model.objective_constant
+
+
+class TestMcCormickBySign:
+    """The builder keeps only the McCormick rows an edge's lambda sign can
+    make bind; on priors with per-edge lambda of either sign and exact
+    zeros, the ILP still equals brute-force MAP and the relaxed LP the LP
+    over all three rows."""
+
+    def test_mixed_sign_priors_match_brute_force_and_three_rows(self):
+        rng = np.random.default_rng(44)
+        signs = set()
+        for trial in range(48):
+            rho = 0.05 if trial % 2 else 0.0
+            _, design, _, noise, y = random_instance(rng, n_range=(5, 11), rho=rho)
+            pairs = [(a, b) for a in range(design.n) for b in range(a + 1, design.n)]
+            idx = rng.choice(len(pairs), size=int(rng.integers(1, 11)), replace=False)
+            lam = rng.uniform(-1.5, 1.5, idx.size) * (rng.random(idx.size) > 0.2)
+            prior = IsingPrior(ItemGraph(design.n, tuple(pairs[i] for i in idx)),
+                               lam, rng.uniform(-1.0, 1.0, design.n))
+            signs |= set(np.sign(prior.lam).tolist())
+            eta = map_flip_penalty(rho) if rho else None
+            res = decode(DecoderSpec("ising_map", noise=noise, eta=eta, prior=prior),
+                         design, y)
+            bf = brute_force_map(design, y, prior, noise)
+            assert (bf is None) == res.failed
+            if bf is not None:
+                assert res.objective_value == pytest.approx(
+                    -map_score(prior, bf, design, y, noise), abs=1e-7)
+            relaxed = build_ising_linearized_model(design, y, prior, noise, eta, True)
+            lp = solve_lp(relaxed)
+            if lp.status == "optimal":
+                want = linprog_objective(three_row_model(relaxed, design, prior))
+                assert lp.objective_value == pytest.approx(want, rel=1e-7, abs=1e-7)
+        assert signs == {-1.0, 0.0, 1.0}
+
+
 class TestModelLayout:
     """Exact row order, relations, rhs and coefficients of both builders on a
-    3-item path graph with one positive and one negative test.  Branch and
-    bound explores rows in this order, so the layout is part of the output."""
+    3-item triangle with one positive and one negative test.  Its edges have
+    lambda > 0 (two McCormick rows), lambda = 0 (none) and lambda < 0 (one).
+    Branch and bound explores rows in this order, so the layout is part of
+    the output."""
 
     design = design_of([[1, 1, 0], [0, 1, 1]])
     y = OutcomeVector((1, 0))
-    prior = IsingPrior(ItemGraph(3, ((0, 1), (1, 2))), np.array([0.5, -0.25]),
-                       np.array([0.125, 0.25, 0.375]))
+    # edges in canonical order (0, 1), (0, 2), (1, 2)
+    prior = IsingPrior(ItemGraph(3, ((0, 1), (0, 2), (1, 2))),
+                       np.array([0.5, 0.0, -0.25]), np.array([0.125, 0.25, 0.375]))
     # family, noisy -> (objective, a_matrix, relations, rhs)
     expected = {
         ("sparsity", False): (
@@ -150,32 +218,26 @@ class TestModelLayout:
             [[1, 1, 0, 1, 0],
              [0, 1, 1, 0, -2]],
             (">=", "<="), [1, 0]),
-        # columns u0 u1 u2 | w01 w12
+        # columns u0 u1 u2 | w01 w02 w12
         ("ising_map", False): (
-            [1.25, 1.0, 0.25, -2.0, 1.0],
-            [[1, 1, 0, 0, 0],
-             [0, 1, 1, 0, 0],
-             [-1, 0, 0, 1, 0],
-             [0, -1, 0, 1, 0],
-             [1, 1, 0, -1, 0],
-             [0, -1, 0, 0, 1],
-             [0, 0, -1, 0, 1],
-             [0, 1, 1, 0, -1]],
-            (">=", "==", "<=", "<=", "<=", "<=", "<=", "<="),
-            [1, 0, 0, 0, 1, 0, 0, 1]),
-        # columns u0 u1 u2 | w01 w12 | xi0 xi1
+            [1.25, 1.0, 0.25, -2.0, 0.0, 1.0],
+            [[1, 1, 0, 0, 0, 0],
+             [0, 1, 1, 0, 0, 0],
+             [-1, 0, 0, 1, 0, 0],
+             [0, -1, 0, 1, 0, 0],
+             [0, 1, 1, 0, 0, -1]],
+            (">=", "==", "<=", "<=", "<="),
+            [1, 0, 0, 0, 1]),
+        # columns u0 u1 u2 | w01 w02 w12 | xi0 xi1
         ("ising_map", True): (
-            [1.25, 1.0, 0.25, -2.0, 1.0, 2, 2],
-            [[1, 1, 0, 0, 0, 1, 0],
-             [0, 1, 1, 0, 0, 0, -2],
-             [-1, 0, 0, 1, 0, 0, 0],
-             [0, -1, 0, 1, 0, 0, 0],
-             [1, 1, 0, -1, 0, 0, 0],
-             [0, -1, 0, 0, 1, 0, 0],
-             [0, 0, -1, 0, 1, 0, 0],
-             [0, 1, 1, 0, -1, 0, 0]],
-            (">=", "<=", "<=", "<=", "<=", "<=", "<=", "<="),
-            [1, 0, 0, 0, 1, 0, 0, 1]),
+            [1.25, 1.0, 0.25, -2.0, 0.0, 1.0, 2, 2],
+            [[1, 1, 0, 0, 0, 0, 1, 0],
+             [0, 1, 1, 0, 0, 0, 0, -2],
+             [-1, 0, 0, 1, 0, 0, 0, 0],
+             [0, -1, 0, 1, 0, 0, 0, 0],
+             [0, 1, 1, 0, 0, -1, 0, 0]],
+            (">=", "<=", "<=", "<=", "<="),
+            [1, 0, 0, 0, 1]),
     }
 
     @pytest.mark.parametrize("family,noisy", sorted(expected))

@@ -462,13 +462,14 @@ class TestPresolve:
     def test_negative_test_items_are_0_and_lone_candidate_is_1(self):
         # Test 0 = {0, 1} is negative (COMP: items 0, 1 are 0); test 1 =
         # {1, 2} is positive and item 2 is its only candidate left (DD: 1).
+        # Item 3 is in no test, so its cost 1 fixes it at 0.
         for relaxed in (False, True):
             m = decoder_model("sparsity", [[1, 1, 0, 0], [0, 1, 1, 0]], [0, 1],
                               relaxed=relaxed)
             pre = milp._presolve(m, m.integer_mask)
-            assert pre.free.tolist() == [False, False, False, True]
-            assert pre.x[:3].tolist() == [0.0, 0.0, 1.0]
-            assert pre.shapes[1] == milp.ModelShape(0, 1, 0)
+            assert not pre.free.any()
+            assert pre.x.tolist() == [0.0, 0.0, 1.0, 0.0]
+            assert pre.shapes[1] == milp.ModelShape(0, 0, 0)
             for sol in (solve_lp(m), solve_ilp(m)):
                 assert sol.x.tolist() == [0.0, 0.0, 1.0, 0.0]
                 assert sol.objective_value == 1.0
@@ -485,6 +486,23 @@ class TestPresolve:
         sol = solve_ilp(m)
         assert sol.status == "optimal" and sol.nodes_explored == 1
         assert sol.objective_value == pytest.approx(highs(m, integer=True)[1], abs=1e-12)
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["lp", "ilp"])
+    @pytest.mark.parametrize("cost,at_upper", [(-2.0, True), (3.0, False), (0.0, False)],
+                             ids=["negative", "positive", "zero"])
+    def test_rowless_column_is_fixed_at_the_bound_its_cost_picks(self, cost, at_upper,
+                                                                 integer):
+        # x1 is in no row; x0 + x2 >= 1 implies nothing, so it is kept.
+        lo, hi = ([0.0] * 3, [1.0] * 3) if integer else ([0.0, 0.5, 0.0], [1.0, 1.5, 1.0])
+        m = model([1.0, cost, 2.0], [[1.0, 0.0, 1.0]], [">="], [1.0], lo=lo, hi=hi,
+                  integer=integer)
+        want = hi[1] if at_upper else lo[1]
+        pre = milp._presolve(m, m.integer_mask)
+        assert pre.free.tolist() == [True, False, True] and pre.x[1] == want
+        assert pre.shapes[1] == milp.ModelShape(1, 2, 2)
+        sol = solve_ilp(m) if integer else solve_lp(m)
+        assert sol.x.tolist() == [1.0, want, 0.0]
+        assert sol.objective_value == pytest.approx(highs(m, integer)[1], abs=1e-12)
 
     @pytest.mark.parametrize("m", [
         # Item 0 is both in a negative and alone in a positive test.

@@ -124,6 +124,16 @@ class TestDesignSerialization:
         assert OutcomeVector.parse("0110").y == (0, 1, 1, 0)
         assert OutcomeVector.parse("[0, 1]").y == (0, 1)
 
+    @pytest.mark.parametrize("y", [(0.7, True), (True,), (np.bool_(False),),
+                                   (np.float64(0.0),), ("1",)])
+    def test_outcome_entries_other_than_integer_0_or_1_rejected(self, y):
+        with pytest.raises(ValueError, match="0 or 1"):
+            OutcomeVector(y)
+
+    def test_outcome_integer_entries_become_python_ints(self):
+        y = OutcomeVector((np.int64(1), np.uint8(0), 1))
+        assert y.y == (1, 0, 1) and all(type(v) is int for v in y.y)
+
     @pytest.mark.parametrize("text", ["[[1]]", "[true, 0]", "[0.7]", "[1, null]"])
     def test_outcome_parse_rejects_non_integers(self, text):
         with pytest.raises(ValueError):
