@@ -74,7 +74,7 @@ class DefectiveSet:
     n: int
 
     def __post_init__(self):
-        members = tuple(sorted(int(j) for j in self.members))
+        members = tuple(sorted(int_entries("defective set indices", self.members)))
         if len(set(members)) != len(members):
             raise ValueError("defective set indices must be distinct")
         if members and (members[0] < 0 or members[-1] >= self.n):
@@ -134,17 +134,31 @@ def approx_distance(a: DefectiveSet, b: DefectiveSet) -> int:
     return max(len(sa - sb), len(sb - sa))
 
 
-def binary_entries(name: str, values: Iterable) -> tuple:
-    """``values`` as a tuple of Python ints, each 0 or 1.
+def _is_int(v) -> bool:
+    """True for an int or a numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def int_entries(name: str, values: Iterable) -> tuple:
+    """``values`` as a tuple of Python ints.
 
     Only ints and numpy integers are taken: a bool, a float or anything
     else is a ValueError naming ``name``, as :func:`check_json_field`
-    rejects them for an int field, rather than being cast to 0 or 1.
+    rejects them for an int field, rather than being cast to an int.
     """
     values = tuple(values)
     for v in values:
-        if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
-                or v not in (0, 1)):
+        if not _is_int(v):
+            raise ValueError(f"{name} must be ints, not {type(v).__name__}: {v!r}")
+    return tuple(int(v) for v in values)
+
+
+def binary_entries(name: str, values: Iterable) -> tuple:
+    """``values`` as a tuple of Python ints, each 0 or 1, taken by the rule
+    of :func:`int_entries`."""
+    values = tuple(values)
+    for v in values:
+        if not _is_int(v) or v not in (0, 1):
             raise ValueError(f"{name} must be 0 or 1 ints, not "
                              f"{type(v).__name__}: {v!r}")
     return tuple(int(v) for v in values)

@@ -24,10 +24,12 @@ a negative test, breaking exact MAP equivalence.
 
 Model layout: variables are u (n), then one w per edge (ising_map), then
 xi (t, noisy only); rows are the t outcome rows in test order, then each
-edge's two, one or no rows in edge order.  Both builders fill one
-preallocated dense matrix by block and index writes; :func:`decoder_spec`
-derives the noise model and the default flip penalty eta from the noise
-level.
+edge's two, one or no rows in edge order.  Both builders emit the
+constraint nonzeros as (row, column, value) triplets, one block per kind
+(the design's nonzeros, the xi diagonal, the McCormick rows of each edge
+sign), and the model keeps them as CSR arrays, so no dense matrix is ever
+allocated; :func:`decoder_spec` derives the noise model and the default
+flip penalty eta from the noise level.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DefectiveSet, DefectivityVector, approx_distance
-from .milp import MilpModel, ModelShape, solve_ilp, solve_lp
+from .milp import MilpModel, ModelShape, csr_arrays, solve_ilp, solve_lp
 from .prior import (_CHUNK_BITS, _ENUM_LIMIT, IsingPrior, _config_chunk,
                     log_unnormalized_prob_many)
 from .testing import NoiseSpec, OutcomeVector, TestDesign
@@ -203,28 +205,38 @@ def _assemble(design: TestDesign, y: OutcomeVector, c: np.ndarray,
     per_edge = 2 * (cw < 0) + (cw > 0)
     first = t + np.cumsum(per_edge) - per_edge
     nr = t + int(per_edge.sum())
-    a = np.zeros((nr, nv))
-    a[:t, :n] = design.matrix
     rels = np.full(nr, "<=")
     rels[:t] = np.where(neg, "==" if xi_offset is None else "<=", ">=")
     rhs = np.zeros(nr)
     rhs[:t] = ~neg
+    # (row, column, value) triplets, one block per kind of nonzero.
+    ti, tj = np.nonzero(design.matrix)
+    rows, cols, vals = [ti], [tj], [design.matrix[ti, tj].astype(float)]
     if xi_offset is not None:
         tests = np.arange(t)
-        a[tests, xi_offset + tests] = np.where(neg, -a[:t, :n].sum(axis=1), 1.0)
+        rows.append(tests)
+        cols.append(xi_offset + tests)
+        vals.append(np.where(neg, -np.bincount(ti, vals[0], minlength=t), 1.0))
     k = np.flatnonzero(per_edge == 2)
     r, w = first[k], n + k
-    a[r, w], a[r, edges[k, 0]] = 1.0, -1.0
-    a[r + 1, w], a[r + 1, edges[k, 1]] = 1.0, -1.0
+    rows += [r, r, r + 1, r + 1]
+    cols += [w, edges[k, 0], w, edges[k, 1]]
+    vals += [np.full(k.size, v) for v in (1.0, -1.0, 1.0, -1.0)]
     k = np.flatnonzero(per_edge == 1)
     r = first[k]
-    a[r, edges[k, 0]], a[r, edges[k, 1]], a[r, n + k] = 1.0, 1.0, -1.0
+    rows += [r, r, r]
+    cols += [edges[k, 0], edges[k, 1], n + k]
+    vals += [np.full(k.size, v) for v in (1.0, 1.0, -1.0)]
     rhs[r] = 1.0
+    indptr, indices, data = csr_arrays(np.concatenate(rows), np.concatenate(cols),
+                                       np.concatenate(vals), nr)
     return MilpModel(
         objective=c,
         lower=np.zeros(nv),
         upper=np.ones(nv),
-        a_matrix=a,
+        indptr=indptr,
+        indices=indices,
+        data=data,
         relations=tuple(rels.tolist()),
         rhs=rhs,
         integer_mask=np.full(nv, not relaxed),

@@ -7,6 +7,13 @@ optional 0/1 integrality marks.
 
 Implementation notes and defaults:
 
+* A model holds its constraint matrix only as CSR (compressed sparse row)
+  arrays; see :class:`MilpModel`.  The presolve, the feasibility re-check,
+  the infeasibility certificate and the slack basis's tableau all read
+  its nonzeros.  ``MilpModel.a_matrix`` builds the dense matrix on each
+  access, for oracles and tests.  In the solver only a kept basis (below)
+  needs dense rows: one dense copy of the presolved model is built per
+  branch-and-bound search, at its first kept basis.
 * One bounded dual simplex solves every LP (Koberstein, *The dual simplex
   method*, 2005, ch. 3).  Each row gets a slack (``A x + s = b``, with
   ``s >= 0`` for ``<=``, ``s <= 0`` for ``>=`` and ``s = 0`` for ``==``),
@@ -38,12 +45,13 @@ Implementation notes and defaults:
   the live tableau, moving only the branched column, and any other child
   refactors the kept basis with one linear solve.
 * ``solve_lp`` and ``solve_ilp`` first run one exact presolve at the root
-  (never at branch-and-bound nodes).  It takes the constraint nonzeros
-  once as (row, column, value) triplets and propagates activity bounds
-  until nothing changes: a row's least and greatest activity over the
-  current bounds imply a bound on each of its columns.  Integer columns
-  round their implied bounds with the integrality tolerance; a continuous
-  column is only ever fixed, when its implied interval closes.  In group
+  (never at branch-and-bound nodes).  It reads the constraint nonzeros
+  from the CSR arrays as (row, column, value) triplets and propagates
+  activity bounds until nothing changes: a row's least and greatest
+  activity over the current bounds imply a bound on each of its columns.
+  Integer columns round their implied bounds with the integrality
+  tolerance; a continuous column is only ever fixed, when its implied
+  interval closes.  In group
   testing this is COMP (an item in a negative test is 0), DD (the lone
   candidate of a positive test is 1) and the fixing of each edge
   product with its endpoints.  Rows that hold for every point of the
@@ -52,7 +60,9 @@ Implementation notes and defaults:
   touches is fixed at the bound its cost picks (the upper one for a
   negative cost, else the lower one): an item in no test, an edge product
   whose endpoints are both 1, an edge with lambda = 0.  Fixed columns are
-  dropped, their values folded into the rhs and the objective constant.
+  dropped, their values folded into the rhs and the objective constant;
+  the reduced model's arrays are the kept rows' nonzeros in the kept
+  columns, filtered from the original arrays.
   Bounds that conflict, or a row that no point of the bounds satisfies,
   prove the model infeasible with 0 nodes.  A model the presolve leaves unchanged is solved
   as given, with no copy.
@@ -94,7 +104,7 @@ _PRIMAL_TOL = 0.5 * FEASIBILITY_TOL
 _DUAL_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _WEIGHT_FLOOR = 1e-12
-_UPDATE_SLICE_BYTES = 1 << 20
+_SLICE_BYTES = 1 << 20  # the size that sliced temporaries are kept to
 
 _RELATIONS = ("<=", "==", ">=")
 
@@ -107,6 +117,13 @@ class NumericalError(RuntimeError):
 class MilpModel:
     """Bounded-variable linear program with optional 0/1 integrality marks.
 
+    The constraint matrix is held in CSR (compressed sparse row) form only:
+    row ``i`` has the nonzeros ``data[indptr[i]:indptr[i + 1]]`` in the
+    columns ``indices[indptr[i]:indptr[i + 1]]``, which increase strictly
+    within a row, so the nonzeros come in the order ``np.nonzero`` walks
+    the dense matrix.  :meth:`from_dense` builds a model from a dense
+    matrix and :attr:`a_matrix` is the dense view.
+
     ``objective_constant`` is a constant added to c.x when reporting
     objective values (used by model builders that drop constant terms).
     """
@@ -114,7 +131,9 @@ class MilpModel:
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    a_matrix: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     relations: tuple
     rhs: np.ndarray
     integer_mask: np.ndarray
@@ -125,18 +144,30 @@ class MilpModel:
         lo = np.asarray(self.lower, dtype=float).reshape(-1)
         hi = np.asarray(self.upper, dtype=float).reshape(-1)
         n = c.shape[0]
-        a = np.asarray(self.a_matrix, dtype=float)
-        if a.size == 0:
-            a = a.reshape(0, n)
-        if a.ndim != 2 or a.shape[1] != n:
-            raise ValueError("constraint matrix width must equal num_vars")
+        indptr = _index_array("indptr", self.indptr)
+        indices = _index_array("indices", self.indices)
+        data = np.asarray(self.data, dtype=float).reshape(-1)
         b = np.asarray(self.rhs, dtype=float).reshape(-1)
         rel = tuple(self.relations)
         mask = np.asarray(self.integer_mask, dtype=bool).reshape(-1)
         if lo.shape[0] != n or hi.shape[0] != n or mask.shape[0] != n:
             raise ValueError("bounds and integer_mask must match num_vars")
-        if b.shape[0] != a.shape[0] or len(rel) != a.shape[0]:
+        if not indptr.size or indptr[0] != 0:
+            raise ValueError("indptr must start at 0")
+        if (np.diff(indptr) < 0).any():
+            raise ValueError("indptr must not decrease")
+        if indptr[-1] != indices.size or data.size != indices.size:
+            raise ValueError("indptr must end at the number of nonzeros, the "
+                             "length of indices and data")
+        if b.shape[0] != indptr.size - 1 or len(rel) != indptr.size - 1:
             raise ValueError("rhs/relations must match the constraint count")
+        if ((indices < 0) | (indices >= n)).any():
+            raise ValueError("column indices must lie in [0, num_vars)")
+        ri = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        if ((ri[1:] == ri[:-1]) & (indices[1:] <= indices[:-1])).any():
+            raise ValueError("column indices must increase strictly within each row")
+        if (data == 0).any():
+            raise ValueError("constraint entries must be nonzero")
         if any(r not in _RELATIONS for r in rel):
             raise ValueError(f"relations must be one of {_RELATIONS}")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -145,15 +176,33 @@ class MilpModel:
             raise ValueError("objective and rhs must be finite")
         if (lo < 0).any() or (lo > hi).any():
             raise ValueError("need 0 <= lo <= hi for every variable")
-        for arr in (c, lo, hi, a, b, mask):
+        for arr in (c, lo, hi, indptr, indices, data, b, mask):
             arr.flags.writeable = False
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "a_matrix", a)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "relations", rel)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "integer_mask", mask)
+
+    @classmethod
+    def from_dense(cls, objective, lower, upper, a_matrix, relations, rhs,
+                   integer_mask, objective_constant: float = 0.0) -> "MilpModel":
+        """The model whose constraint matrix is the dense ``a_matrix``: its
+        nonzeros (a NaN counts as one) are stored, its zeros are not."""
+        n = np.asarray(objective).reshape(-1).shape[0]
+        a = np.asarray(a_matrix, dtype=float)
+        if a.size == 0:
+            a = a.reshape(0, n)
+        if a.ndim != 2 or a.shape[1] != n:
+            raise ValueError("constraint matrix width must equal num_vars")
+        ri, cj = np.nonzero(a)
+        indptr, indices, data = csr_arrays(ri, cj, a[ri, cj], a.shape[0])
+        return cls(objective, lower, upper, indptr, indices, data, relations, rhs,
+                   integer_mask, objective_constant)
 
     @property
     def num_vars(self) -> int:
@@ -161,7 +210,53 @@ class MilpModel:
 
     @property
     def num_rows(self) -> int:
-        return self.a_matrix.shape[0]
+        return self.rhs.shape[0]
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each nonzero, as ``np.nonzero`` gives it for the dense
+        matrix."""
+        return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
+
+    @property
+    def a_matrix(self) -> np.ndarray:
+        """The dense constraint matrix, a read-only array built anew on each
+        access."""
+        a = _dense(self)
+        a.flags.writeable = False
+        return a
+
+
+def _dense(model: MilpModel) -> np.ndarray:
+    """``model``'s constraint matrix as a new dense array: one ``np.zeros``
+    and one scatter of the nonzeros."""
+    a = np.zeros((model.num_rows, model.num_vars))
+    a[model.row_ids(), model.indices] = model.data
+    return a
+
+
+def _index_array(name: str, values) -> np.ndarray:
+    """``values`` as a flat ``intp`` array; any dtype but an integer one is a
+    ValueError naming ``name``."""
+    arr = np.asarray(values).reshape(-1)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, not {arr.dtype}")
+    return arr.astype(np.intp)
+
+
+def csr_arrays(rows, cols, values, num_rows: int) -> tuple:
+    """``(indptr, indices, data)`` of the matrix with ``num_rows`` rows
+    whose entries are the ``(row, column, value)`` triplets: sorted by row,
+    then column, with zero values dropped.  A repeated position is kept
+    twice, which :class:`MilpModel` rejects."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    keep = values != 0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    if ((rows < 0) | (rows >= num_rows)).any():
+        raise ValueError("row indices must lie in [0, num_rows)")
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=num_rows))])
+    return indptr, cols[order], values[order]
 
 
 @dataclass(frozen=True)
@@ -193,6 +288,23 @@ class MilpSolution:
     pivots: int = 0
 
 
+def _row_activity(model: MilpModel, x: np.ndarray) -> np.ndarray:
+    """``A x`` for each point of the ``(N, num_vars)`` batch ``x``, each
+    row's products summed in column order, a slice of points at a time so
+    that the ``(points, nnz)`` temporaries stay small."""
+    m, nnz = model.num_rows, model.data.size
+    ri = model.row_ids()
+    out = np.empty((x.shape[0], m))
+    step = max(1, _SLICE_BYTES // (16 * max(nnz, 1)))
+    for first in range(0, x.shape[0], step):
+        part = x[first:first + step]
+        k = part.shape[0]
+        slots = (np.arange(k)[:, None] * m + ri).ravel()
+        prods = (part[:, model.indices] * model.data).ravel()
+        out[first:first + k] = np.bincount(slots, prods, minlength=k * m).reshape(k, m)
+    return out
+
+
 def feasibility_violation(model: MilpModel,
                           x: np.ndarray) -> float | np.ndarray:
     """Largest scaled constraint/bound violation of ``x`` (0 when feasible).
@@ -206,7 +318,7 @@ def feasibility_violation(model: MilpModel,
     worst = np.maximum(np.max(model.lower - x, axis=-1, initial=0.0),
                        np.max(x - model.upper, axis=-1, initial=0.0))
     if model.num_rows:
-        ax = model.a_matrix @ x if x.ndim == 1 else x @ model.a_matrix.T
+        ax = _row_activity(model, np.atleast_2d(x)).reshape(*x.shape[:-1], model.num_rows)
         rel = np.asarray(model.relations)
         b = model.rhs
         v = np.where(rel == "<=", ax - b,
@@ -227,10 +339,18 @@ def dump_model(model: MilpModel) -> str:
         tag = " int" if model.integer_mask[j] else ""
         lines.append(f"x{j} in [{model.lower[j]:g}, {model.upper[j]:g}]{tag}")
     for i in range(model.num_rows):
-        row = model.a_matrix[i]
-        terms = " + ".join(f"{row[j]:g}*x{j}" for j in np.flatnonzero(row))
+        nz = slice(model.indptr[i], model.indptr[i + 1])
+        terms = " + ".join(f"{v:g}*x{j}" for j, v in zip(model.indices[nz], model.data[nz]))
         lines.append(f"{terms or '0'} {model.relations[i]} {model.rhs[i]:g}")
     return "\n".join(lines) + "\n"
+
+
+def _activity_range(ri, cj, av, m: int, lo, hi) -> tuple:
+    """Least and greatest activity of each of the ``m`` rows with the
+    nonzeros ``(ri, cj, av)`` over the bounds ``lo``, ``hi``."""
+    pos = av > 0
+    return (np.bincount(ri, av * np.where(pos, lo[cj], hi[cj]), minlength=m),
+            np.bincount(ri, av * np.where(pos, hi[cj], lo[cj]), minlength=m))
 
 
 class _Tableau:
@@ -241,16 +361,17 @@ class _Tableau:
     ``<=``, ``(-inf, 0]`` for ``>=`` and ``[0, 0]`` for ``==``, so the slack
     columns start as the identity.  ``start`` is a ``(basis, at_upper)``
     pair kept from an earlier solve (the slack basis when None); a kept
-    basis is refactored from the original rows, inverting only its block
-    of basic structural columns.
+    basis is refactored from the original rows, given as the dense matrix
+    ``dense``, inverting only its block of basic structural columns.  The
+    slack basis fills its tableau from the model's nonzeros.
     Every boxed nonbasic column whose reduced cost is not zero rests at the
     bound its sign picks, so the slack basis, and a basis that was optimal
     at other bounds, are dual feasible.
     """
 
-    def __init__(self, model: MilpModel, lo, hi, start=None):
-        a, b = model.a_matrix, model.rhs
-        m, n = a.shape
+    def __init__(self, model: MilpModel, lo, hi, start=None, dense=None):
+        b = model.rhs
+        m, n = model.num_rows, model.num_vars
         rel = np.asarray(model.relations, dtype=str)
         self.model = model
         self.lo = np.concatenate([lo, np.where(rel == ">=", -np.inf, 0.0)])
@@ -263,7 +384,7 @@ class _Tableau:
         if start is None:
             self.basis = n + np.arange(m)
             at_upper = np.zeros(n + m, dtype=bool)
-            self.tab_t[:n] = a.T
+            self.tab_t[model.indices, model.row_ids()] = model.data
         else:
             self.basis, at_upper = start[0].copy(), start[1].copy()
             # With the basic slacks' rows t and the others r, the basis is
@@ -276,14 +397,14 @@ class _Tableau:
             rows_r = np.setdiff1d(np.arange(m), rows_t)
             cols_s = self.basis[pos_s]
             try:
-                inv_rs = np.linalg.inv(a[np.ix_(rows_r, cols_s)])
+                inv_rs = np.linalg.inv(dense[np.ix_(rows_r, cols_s)])
             except np.linalg.LinAlgError as exc:
                 raise NumericalError("kept basis is singular") from exc
             inv_t = self.tab_t[n:]
             inv_t[np.ix_(rows_r, pos_s)] = inv_rs.T
-            inv_t[np.ix_(rows_r, pos_t)] = -(a[np.ix_(rows_t, cols_s)] @ inv_rs).T
+            inv_t[np.ix_(rows_r, pos_t)] = -(dense[np.ix_(rows_t, cols_s)] @ inv_rs).T
             inv_t[rows_t, pos_t] = 1.0
-            np.matmul(a.T, inv_t, out=self.tab_t[:n])
+            np.matmul(dense.T, inv_t, out=self.tab_t[:n])
         self.tab_t[self.basis] = 0.0  # basic columns are exact unit vectors
         self.tab_t[self.basis, np.arange(m)] = 1.0
         beta = b @ self.tab_t[n:]
@@ -329,17 +450,17 @@ class _Tableau:
         the rows infeasible at the bounds once aggregated again from the
         original rows with the row's multipliers."""
         model = self.model
-        a, b, n = model.a_matrix, model.rhs, model.num_vars
+        b, n = model.rhs, model.num_vars
+        ri, cj, av = model.row_ids(), model.indices, model.data
         lo, hi = self.lo[:n], self.hi[:n]
         y = self.tab_t[n:, r]  # row r of the basis inverse
         # Each slack s = b - A x is also bounded by its row's activity.
-        min_act = a @ lo + np.minimum(a, 0.0) @ (hi - lo)
-        max_act = a @ lo + np.maximum(a, 0.0) @ (hi - lo)
+        min_act, max_act = _activity_range(ri, cj, av, b.size, lo, hi)
         s_lo = np.maximum(self.lo[n:], b - max_act)
         s_hi = np.minimum(self.hi[n:], b - min_act)
         if (s_lo - s_hi > FEASIBILITY_TOL * (1.0 + np.abs(b))).any():
             return  # a row that no point within the bounds satisfies
-        coef = np.concatenate([y @ a, y])
+        coef = np.concatenate([np.bincount(cj, av * y[ri], minlength=n), y])
         z_lo = np.concatenate([lo, np.minimum(s_lo, s_hi)])
         z_hi = np.concatenate([hi, s_hi])
         rhs = float(y @ b)
@@ -365,7 +486,7 @@ def _simplex(tab: _Tableau):
     m, total = basis.size, lo.size
     n = total - m
     movable = lo < hi  # a fixed column never enters
-    slice_cols = max(1, _UPDATE_SLICE_BYTES // (8 * m)) if m else 1
+    slice_cols = max(1, _SLICE_BYTES // (8 * m)) if m else 1
     bland_after = 10 * (m + total)
     max_iter = 200 * (m + total) + 20000
     iters = 0
@@ -517,10 +638,9 @@ def _presolve(model: MilpModel, integral: np.ndarray) -> _Presolved:
     ``integral`` marks the columns whose implied bounds are rounded (the
     integer columns for an ILP, none for an LP relaxation).
     """
-    a, b = model.a_matrix, model.rhs
-    m, n = a.shape
-    ri, cj = np.nonzero(a)
-    av = a[ri, cj]
+    b = model.rhs
+    m, n = model.num_rows, model.num_vars
+    ri, cj, av = model.row_ids(), model.indices, model.data
     if not np.isfinite(av).all():
         raise NumericalError("constraint matrix has a non-finite entry")
     shape = ModelShape(m, n, ri.size)
@@ -530,8 +650,7 @@ def _presolve(model: MilpModel, integral: np.ndarray) -> _Presolved:
     pos = av > 0
     lo, hi = model.lower, model.upper
     while True:
-        min_act = np.bincount(ri, av * np.where(pos, lo[cj], hi[cj]), minlength=m)
-        max_act = np.bincount(ri, av * np.where(pos, hi[cj], lo[cj]), minlength=m)
+        min_act, max_act = _activity_range(ri, cj, av, m, lo, hi)
         if ((has_le & (min_act - b > row_tol)) | (has_ge & (b - max_act > row_tol))).any():
             return _Presolved(None, None, None, (shape, None))
         # Per nonzero, the room its row leaves above its least (below its
@@ -568,18 +687,23 @@ def _presolve(model: MilpModel, integral: np.ndarray) -> _Presolved:
     if free.all() and not redundant.any():
         return _Presolved(model, x, free, (shape, shape))
     rows, cols = np.flatnonzero(~redundant), np.flatnonzero(free)
+    # The kept rows' nonzeros in the kept columns, renumbered; filtering
+    # keeps them in row, then column order.
+    kept = free_nz & ~redundant[ri]
     reduced = MilpModel(
         objective=model.objective[cols],
         lower=lo[cols],
         upper=hi[cols],
-        a_matrix=a[np.ix_(rows, cols)],
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(ri[kept], minlength=m)[rows])]),
+        indices=(np.cumsum(free) - 1)[cj[kept]],
+        data=av[kept],
         relations=tuple(rel[rows].tolist()),
         rhs=(b - np.bincount(ri, av * x[cj], minlength=m))[rows],
         integer_mask=model.integer_mask[cols],
         objective_constant=model.objective_constant + float(model.objective @ x),
     )
-    kept_nnz = int((free_nz & ~redundant[ri]).sum())
-    return _Presolved(reduced, x, free, (shape, ModelShape(rows.size, cols.size, kept_nnz)))
+    return _Presolved(reduced, x, free,
+                      (shape, ModelShape(rows.size, cols.size, reduced.data.size)))
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
@@ -599,15 +723,18 @@ def solve_lp(model: MilpModel) -> MilpSolution:
 def _integer_row_infeasible(model: MilpModel) -> bool:
     """True when some ``==`` row has integer coefficients on integer variables
     only and a rhs that is no integer multiple of their gcd."""
-    eq = np.flatnonzero(np.asarray(model.relations) == "==")
-    a = model.a_matrix[eq]
-    nz = a != 0
-    whole = (a == np.round(a)) & (np.abs(a) <= 2.0 ** 53)
-    ok = nz.any(axis=1) & ~(nz & ~model.integer_mask).any(axis=1) & whole.all(axis=1)
+    ri, cj, av = model.row_ids(), model.indices, model.data
+    counts = np.diff(model.indptr)
+    bad = ~model.integer_mask[cj] | (av != np.round(av)) | (np.abs(av) > 2.0 ** 53)
+    ok = ((np.asarray(model.relations) == "==") & (counts > 0)
+          & (np.bincount(ri, bad, minlength=counts.size) == 0))
     if not ok.any():
         return False
-    g = np.gcd.reduce(np.abs(a[ok]).astype(np.int64), axis=1)
-    b = model.rhs[eq[ok]]
+    rows = np.flatnonzero(ok)
+    # The nonzeros of the rows kept, one segment per row, in row order.
+    g = np.gcd.reduceat(np.abs(av[ok[ri]]).astype(np.int64),
+                        np.cumsum(counts[rows]) - counts[rows])
+    b = model.rhs[rows]
     return bool((np.abs(b - g * np.round(b / g)) > FEASIBILITY_TOL).any())
 
 
@@ -637,7 +764,7 @@ def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
     best_x = None
     best_obj = np.inf
     nodes = pivots = 0
-    tab = live = None
+    tab = live = dense = None
     stack = [(model.lower, model.upper, None)]
     while stack:
         if nodes >= node_limit:
@@ -648,7 +775,9 @@ def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
             tab.set_bounds(lo, hi)
         else:
             tab = None  # freed before its successor is built
-            tab = _Tableau(model, lo, hi, start)
+            if start is not None and dense is None:
+                dense = _dense(model)  # built once, at the first kept basis
+            tab = _Tableau(model, lo, hi, start, dense)
         live = None
         sol = _solve_node(tab)
         nodes += 1

@@ -20,8 +20,9 @@ from gtprior.decoders import (CandidateFamily, DecoderSpec, brute_force_map,
 from gtprior.harness import (DecoderConfig, ExperimentConfig, GraphConfig,
                              report_csv, report_json, run_experiment)
 from gtprior.milp import MilpModel, feasibility_violation, solve_ilp, solve_lp
-from gtprior.prior import (IsingPrior, ItemGraph, build_grid, exact_marginals,
-                           gibbs_marginal_estimate, log_unnormalized_prob)
+from gtprior.prior import (IsingPrior, ItemGraph, _config_chunk, build_grid,
+                           exact_marginals, gibbs_marginal_estimate,
+                           log_unnormalized_prob)
 from gtprior.rng import generator
 from gtprior.testing import (NoiseSpec, OutcomeVector, TestDesign,
                              bernoulli_design, run_tests)
@@ -221,9 +222,9 @@ def test_criterion_9_solver_soundness():
         rel = tuple(("<=", "==", ">=")[i] for i in rng.integers(0, 3, m))
         xr = rng.integers(0, 2, n)
         b = (a @ xr + rng.integers(-2, 3, m)).astype(float) if m else np.zeros(0)
-        model = MilpModel(c, np.zeros(n), np.ones(n), a, rel, b,
-                          np.ones(n, dtype=bool))
-        points = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+        model = MilpModel.from_dense(c, np.zeros(n), np.ones(n), a, rel, b,
+                                     np.ones(n, dtype=bool))
+        points = _config_chunk(n, 0, 1 << n).astype(float)
         feasible = points[feasibility_violation(model, points) <= 1e-9]
         best = float((feasible @ c).min()) if len(feasible) else None
         sol = solve_ilp(model)

@@ -124,3 +124,13 @@ class TestSerialization:
             DefectiveSet((0, 0), 3)
         with pytest.raises(ValueError):
             DefectiveSet((3,), 3)
+
+    @pytest.mark.parametrize("members", [(0.7, True), (2.9,), (True,), (np.bool_(True),),
+                                         (np.float64(1.0),), ("1",), (None,)])
+    def test_defective_set_members_other_than_integers_rejected(self, members):
+        with pytest.raises(ValueError, match="ints"):
+            DefectiveSet(members, 3)
+
+    def test_defective_set_integer_members_become_python_ints(self):
+        s = DefectiveSet((np.int64(2), np.uint8(0)), 3)
+        assert s.members == (0, 2) and all(type(j) is int for j in s.members)

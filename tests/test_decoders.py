@@ -138,11 +138,12 @@ def three_row_model(model, design, prior):
         rows[3 * k, [n + k, a]] = 1.0, -1.0
         rows[3 * k + 1, [n + k, b]] = 1.0, -1.0
         rows[3 * k + 2, [a, b, n + k]] = 1.0, 1.0, -1.0
-    return MilpModel(model.objective, model.lower, model.upper,
-                     np.vstack([model.a_matrix[:t], rows]),
-                     model.relations[:t] + ("<=",) * len(rows),
-                     np.concatenate([model.rhs[:t], np.tile([0.0, 0.0, 1.0], len(edges))]),
-                     model.integer_mask, model.objective_constant)
+    return MilpModel.from_dense(
+        model.objective, model.lower, model.upper,
+        np.vstack([model.a_matrix[:t], rows]),
+        model.relations[:t] + ("<=",) * len(rows),
+        np.concatenate([model.rhs[:t], np.tile([0.0, 0.0, 1.0], len(edges))]),
+        model.integer_mask, model.objective_constant)
 
 
 def linprog_objective(model):
@@ -262,6 +263,29 @@ class TestModelLayout:
         assert model.objective_constant == -1.0  # -(sum lam + sum phi)
         assert build_model(DecoderSpec("sparsity"), self.design,
                            self.y).objective_constant == 0.0
+
+    def test_largest_full_grid_28_build_stays_small(self):
+        # The noisy ising_map model at t=500 is 3524x2796 with about 11k
+        # nonzeros; as a dense matrix it alone would take 79 MB.
+        import tracemalloc
+
+        from gtprior.harness import PRESETS, ExperimentConfig, sample_truth
+
+        config = ExperimentConfig.from_dict(PRESETS["full-grid-28"])
+        graph = config.graph.build(config.base_seed)
+        truth = sample_truth(config, graph)
+        design = bernoulli_design(500, truth.n, math.log(2.0) / truth.k, seed=3)
+        y = run_tests(design, truth, NoiseSpec("symmetric", 0.01), seed=4)
+        spec = decoder_spec("ising_map", False, 0.01, None,
+                            IsingPrior.uniform(graph, config.lam, config.phi))
+        tracemalloc.start()
+        try:
+            model = build_model(spec, design, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (model.num_rows, model.num_vars) == (3524, 2796)
+        assert peak < 4 * 2 ** 20
 
 
 class TestDecode:

@@ -1,17 +1,16 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from gtprior import milp
 from gtprior.milp import (MilpModel, NumericalError, dump_model,
                           feasibility_violation, solve_ilp, solve_lp)
+from gtprior.prior import _config_chunk
 
 
 def model(c, A, rel, b, lo=None, hi=None, integer=False):
     c = np.asarray(c, dtype=float)
     n = c.size
-    return MilpModel(
+    return MilpModel.from_dense(
         objective=c,
         lower=np.zeros(n) if lo is None else np.asarray(lo, dtype=float),
         upper=np.ones(n) if hi is None else np.asarray(hi, dtype=float),
@@ -62,7 +61,7 @@ def highs(m, integer=False):
 
 def enumerate_optimum(m):
     """Brute-force 0/1 optimum; None when infeasible."""
-    points = np.array(list(itertools.product((0.0, 1.0), repeat=m.num_vars)))
+    points = _config_chunk(m.num_vars, 0, 1 << m.num_vars).astype(float)
     feasible = points[feasibility_violation(m, points) <= 1e-9]
     if not len(feasible):
         return None
@@ -196,9 +195,9 @@ class TestSolveIlp:
                 continue
             base = solve_lp(m)
             perm = rng.permutation(m.num_rows)
-            m2 = MilpModel(m.objective, m.lower, m.upper, m.a_matrix[perm],
-                           tuple(m.relations[i] for i in perm), m.rhs[perm],
-                           m.integer_mask)
+            m2 = MilpModel.from_dense(m.objective, m.lower, m.upper, m.a_matrix[perm],
+                                      tuple(m.relations[i] for i in perm), m.rhs[perm],
+                                      m.integer_mask)
             other = solve_lp(m2)
             assert base.status == other.status
             if base.status == "optimal":
@@ -229,8 +228,8 @@ class TestIntegerRowCheck:
 
     def test_continuous_or_attainable_rows_still_branch(self):
         m = model([1.0, 1.0, 0.0], [[1.0, 1.0, 1.0]], ["=="], [2.5])
-        m = MilpModel(m.objective, m.lower, m.upper, m.a_matrix, m.relations,
-                      m.rhs, np.array([True, True, False]))
+        m = MilpModel.from_dense(m.objective, m.lower, m.upper, m.a_matrix, m.relations,
+                                 m.rhs, np.array([True, True, False]))
         got = solve_ilp(m)
         assert got.status == "optimal" and got.objective_value == 2.0
         got = solve_ilp(model([1.0, 1.0], [[2.0, 3.0]], ["=="], [5.0], integer=True))
@@ -331,7 +330,7 @@ def fuzzed_mixed_model(rng):
     rel = [("<=", "==", ">=")[i] for i in rng.integers(0, 3, k)]
     point = np.where(integer, rng.integers(0, 2, n), rng.uniform(lo, hi))
     b = a @ point + np.where(rng.random(k) < 0.6, 0.0, rng.normal(size=k))
-    return MilpModel(rng.normal(size=n), lo, hi, a, tuple(rel), b, integer)
+    return MilpModel.from_dense(rng.normal(size=n), lo, hi, a, tuple(rel), b, integer)
 
 
 class TestWarmStarts:
@@ -361,8 +360,8 @@ class TestWarmStarts:
                     continue
                 cold = solve_node(milp._Tableau(m, lo, hi))
                 assert warm.status == cold.status
-                at_node = MilpModel(m.objective, lo, hi, m.a_matrix, m.relations, m.rhs,
-                                    m.integer_mask, m.objective_constant)
+                at_node = MilpModel.from_dense(m.objective, lo, hi, m.a_matrix, m.relations,
+                                               m.rhs, m.integer_mask, m.objective_constant)
                 status, fun = highs(at_node)
                 assert status == (0 if warm.status == "optimal" else 2)
                 if status == 0:
@@ -427,6 +426,46 @@ def decoder_model(family, matrix, y, rho=0.0, relaxed=False, lam=0.5, phi=0.1,
         return build_sparsity_model(design, out, noise, eta, relaxed)
     prior = IsingPrior.uniform(build_grid(rows, matrix.shape[1] // rows), lam, phi)
     return build_ising_linearized_model(design, out, prior, noise, eta, relaxed)
+
+
+def fuzzed_decoder_model(rng, trial):
+    """A small decoder model: the family, and noise or none, by ``trial``."""
+    family = ("sparsity", "ising_map")[trial % 2]
+    rows = int(rng.integers(1, 3))
+    n = rows * int(rng.integers(2, 5))
+    t = int(rng.integers(1, 9))
+    matrix = (rng.random((t, n)) < rng.uniform(0.15, 0.6)).astype(np.uint8)
+    if rng.random() < 0.5:  # outcomes of a random truth, else random
+        y = (matrix @ (rng.random(n) < 0.3) > 0).astype(int)
+    else:
+        y = rng.integers(0, 2, t)
+    rho = 0.0 if trial % 4 < 2 else 0.05
+    return decoder_model(family, matrix, y, rho=rho, relaxed=bool(rng.random() < 0.5),
+                         lam=float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.0)),
+                         phi=float(rng.uniform(-1.0, 1.0)), rows=rows,
+                         eta=float(rng.uniform(0.5, 3.0)))
+
+
+def fuzzed_general_model(rng, trial):
+    """A mixed model with fixed columns and single-entry rows; every third
+    ``trial`` has real coefficients."""
+    n = int(rng.integers(1, 11))
+    k = int(rng.integers(0, 9))
+    integer = rng.random(n) < 0.5
+    lo = np.where(integer | (rng.random(n) < 0.4), 0.0, rng.uniform(0.0, 2.0, n))
+    hi = np.where(integer, 1.0, lo + np.where(rng.random(n) < 0.15, 0.0,
+                                              rng.uniform(0.0, 3.0, n)))
+    a = np.where(rng.random((k, n)) < 0.5, 0.0, rng.integers(-5, 6, (k, n)))
+    if trial % 3 == 0:  # real coefficients
+        a = a * rng.uniform(0.5, 2.0, (k, n))
+    single = rng.random(k) < 0.2
+    a[single] = 0.0
+    a[single, rng.integers(0, n, int(single.sum()))] = rng.integers(1, 4, int(single.sum()))
+    rel = [("<=", "==", ">=")[i] for i in rng.integers(0, 3, k)]
+    point = np.where(integer, rng.integers(0, 2, n), rng.uniform(lo, hi))
+    shift = np.where(rng.random(k) < 0.6, 0.0, rng.normal(size=k))
+    b = a @ point + shift
+    return MilpModel.from_dense(rng.normal(size=n), lo, hi, a, tuple(rel), b, integer)
 
 
 def assert_matches_references(m):
@@ -539,20 +578,7 @@ class TestPresolve:
         rng = np.random.default_rng(105)
         reduced = infeasible = 0
         for trial in range(300):
-            family = ("sparsity", "ising_map")[trial % 2]
-            rows = int(rng.integers(1, 3))
-            n = rows * int(rng.integers(2, 5))
-            t = int(rng.integers(1, 9))
-            matrix = (rng.random((t, n)) < rng.uniform(0.15, 0.6)).astype(np.uint8)
-            if rng.random() < 0.5:  # outcomes of a random truth, else random
-                y = (matrix @ (rng.random(n) < 0.3) > 0).astype(int)
-            else:
-                y = rng.integers(0, 2, t)
-            rho = 0.0 if trial % 4 < 2 else 0.05
-            m = decoder_model(family, matrix, y, rho=rho, relaxed=bool(rng.random() < 0.5),
-                              lam=float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.0)),
-                              phi=float(rng.uniform(-1.0, 1.0)), rows=rows,
-                              eta=float(rng.uniform(0.5, 3.0)))
+            m = fuzzed_decoder_model(rng, trial)
             lp_shape, ilp_shape = assert_matches_references(m)
             reduced += lp_shape is not None and lp_shape.vars < m.num_vars
             infeasible += lp_shape is None
@@ -562,27 +588,100 @@ class TestPresolve:
         rng = np.random.default_rng(106)
         reduced = infeasible = 0
         for trial in range(300):
-            n = int(rng.integers(1, 11))
-            k = int(rng.integers(0, 9))
-            integer = rng.random(n) < 0.5
-            lo = np.where(integer | (rng.random(n) < 0.4), 0.0, rng.uniform(0.0, 2.0, n))
-            hi = np.where(integer, 1.0, lo + np.where(rng.random(n) < 0.15, 0.0,
-                                                      rng.uniform(0.0, 3.0, n)))
-            a = np.where(rng.random((k, n)) < 0.5, 0.0, rng.integers(-5, 6, (k, n)))
-            if trial % 3 == 0:  # real coefficients
-                a = a * rng.uniform(0.5, 2.0, (k, n))
-            single = rng.random(k) < 0.2
-            a[single] = 0.0
-            a[single, rng.integers(0, n, int(single.sum()))] = rng.integers(1, 4, int(single.sum()))
-            rel = [("<=", "==", ">=")[i] for i in rng.integers(0, 3, k)]
-            point = np.where(integer, rng.integers(0, 2, n), rng.uniform(lo, hi))
-            shift = np.where(rng.random(k) < 0.6, 0.0, rng.normal(size=k))
-            b = a @ point + shift
-            m = MilpModel(rng.normal(size=n), lo, hi, a, tuple(rel), b, integer)
+            m = fuzzed_general_model(rng, trial)
             lp_shape, ilp_shape = assert_matches_references(m)
-            reduced += lp_shape is not None and (lp_shape.vars < n or lp_shape.rows < k)
+            reduced += lp_shape is not None and (lp_shape.vars < m.num_vars
+                                                 or lp_shape.rows < m.num_rows)
             infeasible += ilp_shape is None
         assert reduced > 100 and infeasible > 50
+
+
+def dense_violation(m, x):
+    """``feasibility_violation`` of the ``(N, num_vars)`` points ``x`` by its
+    definition, on the dense matrix."""
+    ax = x @ m.a_matrix.T
+    rel, b = np.asarray(m.relations), m.rhs
+    rows = np.where(rel == "<=", ax - b, np.where(rel == ">=", b - ax, np.abs(ax - b)))
+    worst = np.concatenate([m.lower - x, x - m.upper, rows / (1.0 + np.abs(b)),
+                            np.zeros((len(x), 1))], axis=1).max(axis=1)
+    return np.where(np.isnan(worst), np.inf, worst)
+
+
+class TestCsrStorage:
+    """The constraint matrix is held as CSR arrays only; the dense matrix is
+    a view built on access."""
+
+    @staticmethod
+    def csr_model(indptr, indices, data, n=3):
+        m = max(len(indptr) - 1, 0)
+        return MilpModel(np.zeros(n), np.zeros(n), np.ones(n), indptr, indices, data,
+                         ("<=",) * m, np.ones(m), np.zeros(n, dtype=bool))
+
+    def test_nonzeros_come_in_dense_order(self):
+        a = np.array([[0.0, 2.0, 0.0, -1.0], [0.0] * 4, [3.0, 0.0, 0.5, 0.0]])
+        m = MilpModel.from_dense(np.zeros(4), np.zeros(4), np.ones(4), a, ("<=",) * 3,
+                                 np.ones(3), np.zeros(4, dtype=bool))
+        assert m.indptr.tolist() == [0, 2, 2, 4]
+        assert m.indices.tolist() == [1, 3, 0, 2]
+        assert m.data.tolist() == [2.0, -1.0, 3.0, 0.5]
+        ri, cj = np.nonzero(a)
+        assert np.array_equal(m.row_ids(), ri) and np.array_equal(m.indices, cj)
+        dense = m.a_matrix
+        assert np.array_equal(dense, a) and not dense.flags.writeable
+
+    def test_triplets_are_sorted_and_zeros_dropped(self):
+        indptr, indices, data = milp.csr_arrays([1, 0, 1, 0], [0, 2, 2, 1],
+                                                [3.0, 1.0, 0.0, 2.0], 3)
+        assert indptr.tolist() == [0, 2, 3, 3]
+        assert indices.tolist() == [1, 2, 0]
+        assert data.tolist() == [2.0, 1.0, 3.0]
+
+    def test_columns_may_restart_in_each_row(self):
+        m = self.csr_model([0, 2, 3], [1, 2, 0], [1.0, -1.0, 2.0])
+        assert m.a_matrix.tolist() == [[0.0, 1.0, -1.0], [2.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("indptr, indices, data, match", [
+        ([1, 2], [0, 1], [1.0, 1.0], "start at 0"),
+        ([], [], [], "start at 0"),
+        ([0, 2, 1, 2], [0, 1], [1.0, 1.0], "not decrease"),
+        ([0, 1], [0, 1], [1.0, 1.0], "end at"),
+        ([0, 3], [0, 1], [1.0, 1.0], "end at"),
+        ([0, 2], [0, 1], [1.0], "end at"),
+        ([0, 2], [0, 3], [1.0, 1.0], r"lie in \[0, num_vars\)"),
+        ([0, 2], [-1, 1], [1.0, 1.0], r"lie in \[0, num_vars\)"),
+        ([0, 2], [1, 0], [1.0, 1.0], "increase strictly"),
+        ([0, 2], [1, 1], [1.0, 1.0], "increase strictly"),
+        ([0, 2], [0.0, 1.0], [1.0, 1.0], "integers"),
+        ([0, 2], [0, 1], [1.0, 0.0], "nonzero"),
+    ], ids=["first-not-0", "empty", "decreasing", "short", "long", "data-length",
+            "col-too-large", "col-negative", "cols-decreasing", "col-repeated",
+            "float-indices", "explicit-zero"])
+    def test_bad_csr_arrays_are_rejected(self, indptr, indices, data, match):
+        with pytest.raises(ValueError, match=match):
+            self.csr_model(indptr, indices, data)
+
+    @pytest.mark.parametrize("kind", ["decoder", "general"])
+    def test_fuzzed_models_round_trip_and_match_dense_violations(self, kind):
+        rng = np.random.default_rng(109 if kind == "decoder" else 110)
+        fuzzed = fuzzed_decoder_model if kind == "decoder" else fuzzed_general_model
+        for trial in range(300):
+            m = fuzzed(rng, trial)
+            back = MilpModel.from_dense(m.objective, m.lower, m.upper, m.a_matrix,
+                                        m.relations, m.rhs, m.integer_mask,
+                                        m.objective_constant)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(back, name), getattr(m, name))
+            n = m.num_vars
+            points = rng.uniform(m.lower - 0.5, m.upper + 0.5, (6, n))
+            points[1] = rng.integers(0, 2, n)
+            points[2] = np.clip(points[2], m.lower, m.upper)
+            points[3, rng.integers(n)] = np.nan
+            got = feasibility_violation(m, points)
+            assert np.allclose(got, dense_violation(m, points), rtol=1e-12, atol=1e-12)
+            assert got[3] == np.inf
+            if (m.data == np.round(m.data)).all():  # integers sum exactly in any order
+                assert got[1] == dense_violation(m, points[1:2])[0]
+            assert [feasibility_violation(m, p) for p in points] == got.tolist()
 
 
 class TestModelValidation:
