@@ -44,6 +44,8 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def _graph_from_args(args):
+    if args.subsample is not None and not args.edge_list:
+        raise UsageError("--subsample needs --edge-list")
     if args.grid:
         return build_grid(args.grid[0], args.grid[1])
     if args.block:
@@ -57,10 +59,11 @@ def _graph_from_args(args):
 
 
 def _add_graph_flags(sub):
-    sub.add_argument("--grid", type=int, nargs=2, metavar=("ROWS", "COLS"))
-    sub.add_argument("--block", type=int, nargs=4,
-                     metavar=("BLOCKS_R", "BLOCKS_C", "BLOCK_ROWS", "BLOCK_COLS"))
-    sub.add_argument("--edge-list", type=str)
+    graph = sub.add_mutually_exclusive_group()
+    graph.add_argument("--grid", type=int, nargs=2, metavar=("ROWS", "COLS"))
+    graph.add_argument("--block", type=int, nargs=4,
+                       metavar=("BLOCKS_R", "BLOCKS_C", "BLOCK_ROWS", "BLOCK_COLS"))
+    graph.add_argument("--edge-list", type=str)
     sub.add_argument("--subsample", type=int)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, is_dataclass
-from typing import Iterable, Optional, Union, get_args, get_origin
+from typing import Iterable, Optional, Tuple, Union, get_args, get_origin
 
 import numpy as np
 
@@ -43,23 +43,9 @@ class DefectivityVector:
         return DefectiveSet(tuple(j for j, b in enumerate(self.bits) if b), self.n)
 
     @classmethod
-    def from_string(cls, text: str) -> "DefectivityVector":
-        text = text.strip()
-        if not all(c in "01" for c in text):
-            raise ValueError("defectivity string must contain only 0/1")
-        return cls(tuple(int(c) for c in text))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DefectivityVector":
-        return cls(tuple(json.loads(text)))
-
-    @classmethod
     def parse(cls, text: str) -> "DefectivityVector":
         """Accept either the compact 0/1 string or a JSON array."""
-        text = text.strip()
-        if text.startswith("["):
-            return cls.from_json(text)
-        return cls.from_string(text)
+        return cls(parse_bits("defectivity entries", text))
 
     @classmethod
     def from_array(cls, arr: Iterable[int]) -> "DefectivityVector":
@@ -162,6 +148,22 @@ def binary_entries(name: str, values: Iterable) -> tuple:
             raise ValueError(f"{name} must be 0 or 1 ints, not "
                              f"{type(v).__name__}: {v!r}")
     return tuple(int(v) for v in values)
+
+
+def parse_bits(name: str, text: str) -> tuple:
+    """The entries of ``text``, a compact 0/1 string or a JSON array of
+    ints, as a tuple of ints; surrounding whitespace is ignored.
+
+    A string with any character other than 0 or 1 is a ValueError naming
+    ``name``, and so is an array element that is not an int
+    (:func:`check_json_field`); the caller checks that the ints are 0 or 1.
+    """
+    text = text.strip()
+    if text.startswith("["):
+        return check_json_field(name, json.loads(text), Tuple[int, ...])
+    if not set(text) <= {"0", "1"}:
+        raise ValueError(f"{name} must be a 0/1 string or a JSON array, not {text!r}")
+    return tuple(int(c) for c in text)
 
 
 def check_json_field(name: str, value, hint):

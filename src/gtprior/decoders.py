@@ -24,12 +24,14 @@ a negative test, breaking exact MAP equivalence.
 
 Model layout: variables are u (n), then one w per edge (ising_map), then
 xi (t, noisy only); rows are the t outcome rows in test order, then each
-edge's two, one or no rows in edge order.  Both builders emit the
-constraint nonzeros as (row, column, value) triplets, one block per kind
-(the design's nonzeros, the xi diagonal, the McCormick rows of each edge
-sign), and the model keeps them as CSR arrays, so no dense matrix is ever
-allocated; :func:`decoder_spec` derives the noise model and the default
-flip penalty eta from the noise level.
+edge's two, one or no rows in edge order.  One builder,
+:func:`build_model`, derives either family's model from its
+:class:`DecoderSpec`: it emits the constraint nonzeros as (row, column,
+value) triplets, one block per kind (the design's nonzeros, the xi
+diagonal, the McCormick rows of each edge sign), and the model keeps them
+as CSR arrays, so no dense matrix is ever allocated; :func:`decoder_spec`
+derives the noise model and the default flip penalty eta from the noise
+level.
 """
 
 from __future__ import annotations
@@ -184,13 +186,29 @@ class DecodeResult:
         }
 
 
-def _assemble(design: TestDesign, y: OutcomeVector, c: np.ndarray,
-              xi_offset: Optional[int], edges: np.ndarray, relaxed: bool,
-              objective_constant: float = 0.0) -> MilpModel:
-    """Binary model with objective ``c`` over the outcome rows of
-    C_noiseless (xi_offset None) or the noisy variant, then the
-    linearization rows of each edge k, in edge order, for w = n + k.
+def ising_objective_offset(prior: IsingPrior) -> float:
+    """Constant separating the linearized objective from the quadratic one:
+    linear(u, w=u_j*u_j') == quadratic(u) + offset for every binary u."""
+    return float(prior.lam.sum() + prior.phi.sum())
 
+
+def round_relaxed(values: np.ndarray) -> tuple:
+    """Round each coordinate to the nearer of {0, 1}; ties at 0.5 go to 1."""
+    return tuple(int(v) for v in (np.asarray(values, dtype=float) >= 0.5))
+
+
+def build_model(spec: DecoderSpec, design: TestDesign, y: OutcomeVector) -> MilpModel:
+    """The (I)LP that ``spec`` decodes outcomes ``y`` of ``design`` with.
+
+    The objective is sum u_j for sparsity.  For ising_map it is the exact
+    linearization of the Ising MAP quadratic program: at any binary point
+    c.x equals the negative Ising log-probability plus
+    :func:`ising_objective_offset`, which ``objective_constant`` subtracts
+    back out, so reported objective values are directly the negative
+    unnormalized log-posterior.  A noisy spec adds eta * sum xi_i.
+
+    The rows are the outcome rows of C_noiseless (or of its noisy variant),
+    then the linearization rows of each edge k, in edge order, for w = n + k.
     Only the McCormick rows that can bind at an optimum are emitted
     (Padberg, *The boolean quadric polytope*, 1989): ``w <= u_a`` and
     ``w <= u_b`` when w's cost is negative (lambda > 0), ``u_a + u_b - w <=
@@ -199,23 +217,45 @@ def _assemble(design: TestDesign, y: OutcomeVector, c: np.ndarray,
     ends on a point that meets the dropped rows too (w = u_a * u_b at
     binary u), so the ILP and its LP relaxation keep their optimal values.
     """
-    n, t, nv, ne = design.n, design.t, c.shape[0], edges.shape[0]
+    prior, ising, noisy = spec.prior, spec.family == "ising_map", spec.noise.is_noisy
+    if ising and prior.n != design.n:
+        raise ValueError("prior and design disagree on the item count")
+    if design.t != y.t:
+        raise ValueError("design and outcomes disagree on the test count")
+    edges = np.array(prior.graph.edges if ising else (), dtype=np.intp).reshape(-1, 2)
+    n, t, ne = design.n, design.t, edges.shape[0]
+    xi = n + ne  # the first xi column
+    nv = xi + t if noisy else xi
+    c = np.zeros(nv)
+    if ising:
+        c[:n] = 2.0 * prior.phi
+        # np.add.at is unbuffered: a shared endpoint adds its edges' terms in
+        # edge order, so the rounding is fixed.
+        np.add.at(c, edges.ravel(), np.repeat(2.0 * prior.lam, 2))
+        c[n:xi] = -4.0 * prior.lam
+        objective_constant = -ising_objective_offset(prior)
+    else:
+        c[:n] = 1.0
+        objective_constant = 0.0
+    if noisy:
+        c[xi:] = spec.eta
+
     neg = y.to_numpy() == 0
-    cw = c[n:n + ne]
+    cw = c[n:xi]
     per_edge = 2 * (cw < 0) + (cw > 0)
     first = t + np.cumsum(per_edge) - per_edge
     nr = t + int(per_edge.sum())
     rels = np.full(nr, "<=")
-    rels[:t] = np.where(neg, "==" if xi_offset is None else "<=", ">=")
+    rels[:t] = np.where(neg, "<=" if noisy else "==", ">=")
     rhs = np.zeros(nr)
     rhs[:t] = ~neg
     # (row, column, value) triplets, one block per kind of nonzero.
     ti, tj = np.nonzero(design.matrix)
     rows, cols, vals = [ti], [tj], [design.matrix[ti, tj].astype(float)]
-    if xi_offset is not None:
+    if noisy:
         tests = np.arange(t)
         rows.append(tests)
-        cols.append(xi_offset + tests)
+        cols.append(xi + tests)
         vals.append(np.where(neg, -np.bincount(ti, vals[0], minlength=t), 1.0))
     k = np.flatnonzero(per_edge == 2)
     r, w = first[k], n + k
@@ -239,81 +279,9 @@ def _assemble(design: TestDesign, y: OutcomeVector, c: np.ndarray,
         data=data,
         relations=tuple(rels.tolist()),
         rhs=rhs,
-        integer_mask=np.full(nv, not relaxed),
+        integer_mask=np.full(nv, not spec.relaxed),
         objective_constant=objective_constant,
     )
-
-
-def build_sparsity_model(design: TestDesign, y: OutcomeVector, noise: NoiseSpec,
-                         eta: Optional[float] = None,
-                         relaxed: bool = False) -> MilpModel:
-    """Model: minimize sum u_j (+ eta * sum xi_i when noisy) over the
-    outcome-consistency constraints."""
-    if design.t != y.t:
-        raise ValueError("design and outcomes disagree on the test count")
-    noisy = noise.is_noisy
-    if noisy and (eta is None or eta <= 0):
-        raise ValueError("noisy sparsity model requires eta > 0")
-    n, t = design.n, design.t
-    c = np.ones(n + t if noisy else n)
-    if noisy:
-        c[n:] = eta
-    return _assemble(design, y, c, n if noisy else None,
-                     np.zeros((0, 2), dtype=np.intp), relaxed)
-
-
-def ising_objective_offset(prior: IsingPrior) -> float:
-    """Constant separating the linearized objective from the quadratic one:
-    linear(u, w=u_j*u_j') == quadratic(u) + offset for every binary u."""
-    return float(prior.lam.sum() + prior.phi.sum())
-
-
-def build_ising_linearized_model(design: TestDesign, y: OutcomeVector,
-                                 prior: IsingPrior, noise: NoiseSpec,
-                                 eta: Optional[float] = None,
-                                 relaxed: bool = False) -> MilpModel:
-    """Exact linearization of the Ising MAP integer quadratic program.
-
-    Variables are u (n), one w per edge, and xi (t, noisy only).  At any
-    binary point the objective c.x equals the negative Ising log-probability
-    plus :func:`ising_objective_offset`; the model's ``objective_constant``
-    subtracts that offset back out, so reported objective values are directly
-    the negative unnormalized log-posterior.
-    """
-    if prior.n != design.n:
-        raise ValueError("prior and design disagree on the item count")
-    if design.t != y.t:
-        raise ValueError("design and outcomes disagree on the test count")
-    noisy = noise.is_noisy
-    if noisy and (eta is None or eta <= 0):
-        raise ValueError("noisy ising model requires eta > 0")
-    n, t = design.n, design.t
-    edges = np.array(prior.graph.edges, dtype=np.intp).reshape(-1, 2)
-    ne = edges.shape[0]
-    nv = n + ne + (t if noisy else 0)
-
-    c = np.zeros(nv)
-    c[:n] = 2.0 * prior.phi
-    # np.add.at is unbuffered: a shared endpoint adds its edges' terms in
-    # edge order, so the rounding is fixed.
-    np.add.at(c, edges.ravel(), np.repeat(2.0 * prior.lam, 2))
-    c[n:n + ne] = -4.0 * prior.lam
-    if noisy:
-        c[n + ne:] = eta
-    return _assemble(design, y, c, n + ne if noisy else None, edges, relaxed,
-                     -ising_objective_offset(prior))
-
-
-def round_relaxed(values: np.ndarray) -> tuple:
-    """Round each coordinate to the nearer of {0, 1}; ties at 0.5 go to 1."""
-    return tuple(int(v) for v in (np.asarray(values, dtype=float) >= 0.5))
-
-
-def build_model(spec: DecoderSpec, design: TestDesign, y: OutcomeVector) -> MilpModel:
-    if spec.family == "sparsity":
-        return build_sparsity_model(design, y, spec.noise, spec.eta, spec.relaxed)
-    return build_ising_linearized_model(design, y, spec.prior, spec.noise,
-                                        spec.eta, spec.relaxed)
 
 
 def decode(spec: DecoderSpec, design: TestDesign, y: OutcomeVector) -> DecodeResult:

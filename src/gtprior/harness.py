@@ -29,7 +29,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple, get_type_hints
 
-from .core import DefectivityVector, check_json_field, count_fp_fn
+from .core import DefectivityVector, check_json_field, count_fp_fn, int_entries
 from .decoders import decode, decoder_spec
 from .prior import (IsingPrior, ItemGraph, build_block, build_grid,
                     gibbs_sample, load_edge_list, perturb_edges,
@@ -127,8 +127,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not isinstance(self.graph, GraphConfig):
             object.__setattr__(self, "graph", _from_dict(GraphConfig, self.graph))
-        object.__setattr__(self, "tests", tuple(int(t) for t in self.tests))
-        object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
+        object.__setattr__(self, "tests", int_entries("ExperimentConfig.tests", self.tests))
+        rho = check_json_field("ExperimentConfig.rho", tuple(self.rho), Tuple[float, ...])
+        object.__setattr__(self, "rho", tuple(float(r) for r in rho))
         decs = tuple(d if isinstance(d, DecoderConfig) else _from_dict(DecoderConfig, d)
                      for d in self.decoders)
         object.__setattr__(self, "decoders", decs)

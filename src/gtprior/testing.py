@@ -9,7 +9,7 @@ from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from .core import DefectivityVector, binary_entries, check_json_field
+from .core import DefectivityVector, binary_entries, check_json_field, parse_bits
 from .rng import RNG_ID, generator
 
 
@@ -64,10 +64,8 @@ class OutcomeVector:
 
     @classmethod
     def parse(cls, text: str) -> "OutcomeVector":
-        text = text.strip()
-        if text.startswith("["):
-            return cls(check_json_field("outcomes", json.loads(text), Tuple[int, ...]))
-        return cls(tuple(int(c) for c in text))
+        """Accept either the compact 0/1 string or a JSON array."""
+        return cls(parse_bits("outcomes", text))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from gtprior.bounds import (achievability_coefficient, converse_coefficient,
                             rate_limit_at)
 from gtprior.core import DefectiveSet, DefectivityVector
 from gtprior.decoders import (CandidateFamily, DecoderSpec, brute_force_map,
-                              build_ising_linearized_model, decode,
+                              build_model, decode,
                               info_density, ising_objective_offset,
                               map_flip_penalty, map_score, threshold_decode)
 from gtprior.harness import (DecoderConfig, ExperimentConfig, GraphConfig,
@@ -85,8 +85,8 @@ def test_criterion_2_linearization_identity():
         prior = IsingPrior(graph, rng.uniform(-1.0, 1.5, ne),
                            rng.uniform(0.0, 1.0, n))
         design = TestDesign(np.zeros((0, n), dtype=np.uint8))
-        model = build_ising_linearized_model(design, OutcomeVector(()), prior,
-                                             NoiseSpec())
+        model = build_model(DecoderSpec("ising_map", prior=prior), design,
+                            OutcomeVector(()))
         offset = ising_objective_offset(prior)
         for bits in itertools.product((0, 1), repeat=n):
             w = [bits[a] * bits[b] for a, b in graph.edges]

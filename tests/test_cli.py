@@ -57,6 +57,24 @@ class TestSamplePriorCommand:
         code, _, _ = run(capsys, "sample-prior", "--lam", "1", "--phi", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("graph", [
+        ["--grid", "3", "3", "--block", "1", "1", "2", "2"],
+        ["--grid", "3", "3", "--edge-list", "graph.txt"],
+        ["--block", "1", "1", "2", "2", "--edge-list", "graph.txt"],
+    ], ids=["grid-block", "grid-edge-list", "block-edge-list"])
+    def test_two_graphs_are_usage_error(self, capsys, graph):
+        code, _, err = run(capsys, "--seed", "5", "sample-prior", *graph,
+                           "--lam", "0.5", "--phi", "0.006")
+        assert code == 1
+        assert err.startswith("error:") and "not allowed with" in err
+
+    @pytest.mark.parametrize("graph", [["--grid", "3", "3"], ["--block", "1", "1", "2", "2"]])
+    def test_subsample_without_edge_list_is_usage_error(self, capsys, graph):
+        code, _, err = run(capsys, "--seed", "5", "sample-prior", *graph,
+                           "--subsample", "2", "--lam", "0.5", "--phi", "0.006")
+        assert code == 1
+        assert err.startswith("error:") and "--edge-list" in err
+
 
 class TestDecodeCommand:
     def test_round_trip(self, tmp_path, capsys):
@@ -126,7 +144,7 @@ class TestDecodeCommand:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("outcomes", ["[[1]]", "[true, 0]", "[0.7]", "[2]", "2"])
+    @pytest.mark.parametrize("outcomes", ["[[1]]", "[true, 0]", "[0.7]", "[2]", "2", "0 1"])
     def test_bad_outcomes_are_usage_error(self, tmp_path, capsys, outcomes):
         dpath = tmp_path / "design.json"
         dpath.write_text(json.dumps({"matrix": [[1, 0]]}))

@@ -5,10 +5,7 @@ import pytest
 
 from gtprior.core import (DefectiveSet, DefectivityVector, approx_distance,
                           count_fp_fn)
-
-
-def vec(*bits):
-    return DefectivityVector(tuple(bits))
+from helpers import vec
 
 
 class TestCountFpFn:
@@ -84,7 +81,7 @@ class TestApproxDistance:
 
 class TestSerialization:
     def test_string_round_trip(self):
-        u = DefectivityVector.from_string("0110")
+        u = DefectivityVector.parse("0110")
         assert u.to_string() == "0110"
         assert u.bits == (0, 1, 1, 0)
 
@@ -96,7 +93,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             DefectivityVector((0, 2))
         with pytest.raises(ValueError):
-            DefectivityVector.from_string("012")
+            DefectivityVector.parse("012")
 
     @pytest.mark.parametrize("bits", [(0.9, 1), (True, 0), (0, np.bool_(True)),
                                       (np.float64(1.0),), ("1",), (None,)])

@@ -5,8 +5,7 @@ import pytest
 
 from gtprior.core import DefectiveSet, DefectivityVector
 from gtprior.decoders import (CandidateFamily, DecoderSpec, ModelViolationError,
-                              brute_force_map, build_ising_linearized_model,
-                              build_model, build_sparsity_model, decode,
+                              brute_force_map, build_model, decode,
                               decoder_spec, info_density,
                               ising_objective_offset, map_flip_penalty,
                               map_score, n_tau_counts, n_tilde_max,
@@ -18,10 +17,7 @@ from gtprior.prior import (IsingPrior, ItemGraph, build_grid, gibbs_sample,
 from gtprior.rng import generator
 from gtprior.testing import (NoiseSpec, OutcomeVector, TestDesign,
                              bernoulli_design, noiseless_outcomes, run_tests)
-
-
-def vec(*bits):
-    return DefectivityVector(tuple(bits))
+from helpers import highs, vec
 
 
 def design_of(rows):
@@ -49,22 +45,22 @@ def random_instance(rng, n_range=(6, 13), max_edges=14, t_range=(4, 21),
 class TestSparsityModel:
     def test_all_negative_forces_zero(self):
         design = design_of([[1, 1, 0], [0, 1, 1]])
-        sol = solve_ilp(build_sparsity_model(design, OutcomeVector((0, 0)),
-                                             NoiseSpec()))
+        sol = solve_ilp(build_model(DecoderSpec("sparsity"), design,
+                                    OutcomeVector((0, 0))))
         assert sol.objective_value == 0.0
         assert (sol.x == 0).all()
 
     def test_forced_unique_optimum(self):
         design = design_of([[1, 1, 0], [0, 1, 1]])
-        sol = solve_ilp(build_sparsity_model(design, OutcomeVector((1, 0)),
-                                             NoiseSpec()))
+        sol = solve_ilp(build_model(DecoderSpec("sparsity"), design,
+                                    OutcomeVector((1, 0))))
         assert sol.objective_value == 1.0
         assert tuple(sol.x) == (1.0, 0.0, 0.0)
 
     def test_noisy_contradictory_tests(self):
         design = design_of([[1], [1]])
-        model = build_sparsity_model(design, OutcomeVector((1, 0)),
-                                     NoiseSpec("symmetric", 0.1), eta=2.0)
+        spec = DecoderSpec("sparsity", noise=NoiseSpec("symmetric", 0.1), eta=2.0)
+        model = build_model(spec, design, OutcomeVector((1, 0)))
         sol = solve_ilp(model)
         assert sol.objective_value == 2.0
         assert sol.x[0] == 0.0  # u=(0) with the positive test flipped
@@ -82,8 +78,9 @@ class TestSparsityModel:
         rng = np.random.default_rng(41)
         for _ in range(20):
             prior, design, truth, noise, y = random_instance(rng)
-            lp = solve_lp(build_sparsity_model(design, y, noise, relaxed=True))
-            ilp = solve_ilp(build_sparsity_model(design, y, noise))
+            lp = solve_lp(build_model(DecoderSpec("sparsity", relaxed=True, noise=noise),
+                                      design, y))
+            ilp = solve_ilp(build_model(DecoderSpec("sparsity", noise=noise), design, y))
             assert lp.objective_value <= ilp.objective_value + 1e-9
 
 
@@ -95,8 +92,8 @@ class TestIsingLinearization:
         design = bernoulli_design(8, 6, 0.4, seed=4)
         truth = vec(1, 0, 0, 1, 0, 0)
         y = run_tests(design, truth, NoiseSpec())
-        ising = solve_ilp(build_ising_linearized_model(design, y, prior, NoiseSpec()))
-        sparse = solve_ilp(build_sparsity_model(design, y, NoiseSpec()))
+        ising = solve_ilp(build_model(DecoderSpec("ising_map", prior=prior), design, y))
+        sparse = solve_ilp(build_model(DecoderSpec("sparsity"), design, y))
         # objective(u) = 2*phi*sum(u) up to the documented constant
         assert ising.objective_value + ising_objective_offset(prior) == \
             pytest.approx(2 * 0.25 * sparse.objective_value)
@@ -105,8 +102,8 @@ class TestIsingLinearization:
         graph = ItemGraph(2, ((0, 1),))
         prior = IsingPrior.uniform(graph, 0.5, 0.1)
         design = TestDesign(np.zeros((0, 2), dtype=np.uint8))
-        model = build_ising_linearized_model(design, OutcomeVector(()), prior,
-                                             NoiseSpec())
+        model = build_model(DecoderSpec("ising_map", prior=prior), design,
+                            OutcomeVector(()))
         diffs = set()
         for u0 in (0, 1):
             for u1 in (0, 1):
@@ -146,21 +143,6 @@ def three_row_model(model, design, prior):
         model.integer_mask, model.objective_constant)
 
 
-def linprog_objective(model):
-    """The LP optimum of ``model`` (objective constant included) under HiGHS."""
-    opt = pytest.importorskip("scipy.optimize")
-    rel = np.asarray(model.relations)
-    le, ge, eq = rel == "<=", rel == ">=", rel == "=="
-    res = opt.linprog(model.objective,
-                      A_ub=np.vstack([model.a_matrix[le], -model.a_matrix[ge]]),
-                      b_ub=np.concatenate([model.rhs[le], -model.rhs[ge]]),
-                      A_eq=model.a_matrix[eq] if eq.any() else None,
-                      b_eq=model.rhs[eq] if eq.any() else None,
-                      bounds=np.column_stack([model.lower, model.upper]), method="highs")
-    assert res.status == 0
-    return float(res.fun) + model.objective_constant
-
-
 class TestMcCormickBySign:
     """The builder keeps only the McCormick rows an edge's lambda sign can
     make bind; on priors with per-edge lambda of either sign and exact
@@ -187,10 +169,12 @@ class TestMcCormickBySign:
             if bf is not None:
                 assert res.objective_value == pytest.approx(
                     -map_score(prior, bf, design, y, noise), abs=1e-7)
-            relaxed = build_ising_linearized_model(design, y, prior, noise, eta, True)
+            relaxed = build_model(DecoderSpec("ising_map", relaxed=True, noise=noise,
+                                              eta=eta, prior=prior), design, y)
             lp = solve_lp(relaxed)
             if lp.status == "optimal":
-                want = linprog_objective(three_row_model(relaxed, design, prior))
+                status, want = highs(three_row_model(relaxed, design, prior))
+                assert status == 0
                 assert lp.objective_value == pytest.approx(want, rel=1e-7, abs=1e-7)
         assert signs == {-1.0, 0.0, 1.0}
 
@@ -263,6 +247,15 @@ class TestModelLayout:
         assert model.objective_constant == -1.0  # -(sum lam + sum phi)
         assert build_model(DecoderSpec("sparsity"), self.design,
                            self.y).objective_constant == 0.0
+
+    def test_mismatched_sizes_are_rejected(self):
+        spec = DecoderSpec("ising_map", prior=self.prior)
+        with pytest.raises(ValueError, match="test count"):
+            build_model(spec, self.design, OutcomeVector((1, 0, 0)))
+        with pytest.raises(ValueError, match="test count"):
+            build_model(DecoderSpec("sparsity"), self.design, OutcomeVector((1,)))
+        with pytest.raises(ValueError, match="item count"):
+            build_model(spec, design_of([[1, 1, 0, 0], [0, 1, 1, 0]]), self.y)
 
     def test_largest_full_grid_28_build_stays_small(self):
         # The noisy ising_map model at t=500 is 3524x2796 with about 11k

@@ -349,6 +349,17 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict({**PRESETS["ci-grid-10"], **edit})
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"tests": (6.7,)}, "ExperimentConfig.tests must be ints, not float"),
+        ({"tests": (True,)}, "ExperimentConfig.tests must be ints, not bool"),
+        ({"rho": ("0.01",)}, r"ExperimentConfig.rho\[0\] must be float, not str"),
+        ({"rho": (False,)}, r"ExperimentConfig.rho\[0\] must be float, not bool"),
+    ], ids=["tests-float", "tests-bool", "rho-str", "rho-bool"])
+    def test_python_built_config_values_are_not_cast(self, edit, message):
+        fields = {**PRESETS["ci-grid-10"], **edit}
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**fields)
+
     def test_config_types_accept_json_forms(self):
         config = ExperimentConfig.from_dict({**PRESETS["ci-grid-10"], "lam": 1,
                                              "rho": [0, 0.01], "p": 0.05})

@@ -5,6 +5,7 @@ from gtprior import milp
 from gtprior.milp import (MilpModel, NumericalError, dump_model,
                           feasibility_violation, solve_ilp, solve_lp)
 from gtprior.prior import _config_chunk
+from helpers import highs
 
 
 def model(c, A, rel, b, lo=None, hi=None, integer=False):
@@ -30,33 +31,6 @@ def random_model(rng, n_max=16, integer=True):
     xr = rng.integers(0, 2, n)
     b = (a @ xr + rng.integers(-2, 3, m)).astype(float) if m else np.zeros(0)
     return model(c, a, rel, b, integer=integer)
-
-
-def highs(m, integer=False):
-    """(scipy status, objective incl. constant) of ``m`` under HiGHS:
-    ``linprog`` for the relaxation, ``milp`` when ``integer``."""
-    opt = pytest.importorskip("scipy.optimize")
-    rel = np.array(m.relations)
-    a, b = m.a_matrix, m.rhs
-    if integer:
-        lb = np.where(rel == "<=", -np.inf, b)
-        ub = np.where(rel == ">=", np.inf, b)
-        res = opt.milp(m.objective, integrality=m.integer_mask.astype(int),
-                       bounds=opt.Bounds(m.lower, m.upper),
-                       constraints=opt.LinearConstraint(a, lb, ub),
-                       options={"mip_rel_gap": 0.0})
-    else:
-        le, ge, eq = rel == "<=", rel == ">=", rel == "=="
-        a_ub = np.vstack([a[le], -a[ge]])
-        b_ub = np.concatenate([b[le], -b[ge]])
-        res = opt.linprog(m.objective, A_ub=a_ub if a_ub.size else None,
-                          b_ub=b_ub if a_ub.size else None,
-                          A_eq=a[eq] if eq.any() else None,
-                          b_eq=b[eq] if eq.any() else None,
-                          bounds=np.column_stack([m.lower, m.upper]),
-                          method="highs")
-    fun = None if res.status else float(res.fun) + m.objective_constant
-    return res.status, fun
 
 
 def enumerate_optimum(m):
@@ -413,19 +387,19 @@ def decoder_model(family, matrix, y, rho=0.0, relaxed=False, lam=0.5, phi=0.1,
                   rows=1, eta=1.5):
     """A decoder model of ``family`` for a 0/1 design ``matrix`` and outcomes
     ``y``; ising_map uses a ``rows`` x (n / rows) grid prior."""
-    from gtprior.decoders import (build_ising_linearized_model,
-                                  build_sparsity_model)
+    from gtprior.decoders import DecoderSpec, build_model
     from gtprior.prior import IsingPrior, build_grid
     from gtprior.testing import NoiseSpec, OutcomeVector, TestDesign
 
     matrix = np.asarray(matrix, dtype=np.uint8)
     design, out = TestDesign(matrix), OutcomeVector(tuple(y))
     noise = NoiseSpec("symmetric", rho) if rho else NoiseSpec()
-    eta = eta if rho else None
-    if family == "sparsity":
-        return build_sparsity_model(design, out, noise, eta, relaxed)
-    prior = IsingPrior.uniform(build_grid(rows, matrix.shape[1] // rows), lam, phi)
-    return build_ising_linearized_model(design, out, prior, noise, eta, relaxed)
+    prior = None
+    if family == "ising_map":
+        prior = IsingPrior.uniform(build_grid(rows, matrix.shape[1] // rows), lam, phi)
+    spec = DecoderSpec(family, relaxed=relaxed, noise=noise, eta=eta if rho else None,
+                       prior=prior)
+    return build_model(spec, design, out)
 
 
 def fuzzed_decoder_model(rng, trial):

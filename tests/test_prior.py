@@ -13,10 +13,7 @@ from gtprior.prior import (IsingPrior, ItemGraph, build_block, build_grid,
                            log_unnormalized_prob, log_unnormalized_prob_many,
                            perturb_edges, subsample_vertices)
 from gtprior.rng import generator
-
-
-def vec(*bits):
-    return DefectivityVector(tuple(bits))
+from helpers import vec
 
 
 def random_graph(rng, n_max, max_edges=None):

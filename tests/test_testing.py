@@ -7,10 +7,7 @@ from gtprior.core import DefectivityVector
 from gtprior.testing import (NoiseSpec, OutcomeVector, TestDesign,
                              bernoulli_design, design_from_text, design_to_csv,
                              design_to_json, noiseless_outcomes, run_tests)
-
-
-def vec(*bits):
-    return DefectivityVector(tuple(bits))
+from helpers import vec
 
 
 class TestBernoulliDesign:
@@ -123,6 +120,18 @@ class TestDesignSerialization:
     def test_outcome_parse(self):
         assert OutcomeVector.parse("0110").y == (0, 1, 1, 0)
         assert OutcomeVector.parse("[0, 1]").y == (0, 1)
+
+    @pytest.mark.parametrize("text", ["01 01", "012", "[2]", "[true, 0]", "[[1]]",
+                                      "[0.7]", "{}"])
+    def test_outcomes_and_defectivity_parse_alike(self, text):
+        with pytest.raises(ValueError) as outcome_error:
+            OutcomeVector.parse(text)
+        with pytest.raises(ValueError) as vector_error:
+            DefectivityVector.parse(text)
+        assert str(vector_error.value).startswith("defectivity entries")
+        assert str(outcome_error.value).replace("outcomes", "defectivity entries") == \
+            str(vector_error.value)
+        assert OutcomeVector.parse(" 0110\n").y == DefectivityVector.parse("[0, 1, 1, 0]").bits
 
     @pytest.mark.parametrize("y", [(0.7, True), (True,), (np.bool_(False),),
                                    (np.float64(0.0),), ("1",)])
