@@ -173,6 +173,10 @@ def _cmd_decode(args) -> None:
         if args.lam is None or args.phi is None:
             raise UsageError("ising-map decoding requires --lam and --phi")
         prior = IsingPrior.uniform(graph, args.lam, args.phi)
+    elif any(getattr(args, name) is not None
+             for name in ("grid", "block", "edge_list", "subsample", "lam", "phi")):
+        raise UsageError("sparsity decoding takes no --grid/--block/--edge-list/"
+                         "--subsample/--lam/--phi")
     spec = decoder_spec(family, args.relaxed, args.rho, args.eta, prior)
     result = decode(spec, design, y)
     _write(json.dumps(result.to_json_dict(), indent=2) + "\n", args.out)

@@ -9,8 +9,8 @@ operations are pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, is_dataclass
-from typing import Iterable, Optional, Tuple, Union, get_args, get_origin
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Iterable, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -60,7 +60,11 @@ class DefectiveSet:
     n: int
 
     def __post_init__(self):
-        members = tuple(sorted(int_entries("defective set indices", self.members)))
+        bad = [j for j in self.members if not _is_int(j)]
+        if bad:  # a bool, a float or anything else is not cast to an int
+            raise ValueError(f"defective set indices must be ints, not "
+                             f"{type(bad[0]).__name__}: {bad[0]!r}")
+        members = tuple(sorted(int(j) for j in self.members))
         if len(set(members)) != len(members):
             raise ValueError("defective set indices must be distinct")
         if members and (members[0] < 0 or members[-1] >= self.n):
@@ -125,23 +129,10 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def int_entries(name: str, values: Iterable) -> tuple:
-    """``values`` as a tuple of Python ints.
-
-    Only ints and numpy integers are taken: a bool, a float or anything
-    else is a ValueError naming ``name``, as :func:`check_json_field`
-    rejects them for an int field, rather than being cast to an int.
-    """
-    values = tuple(values)
-    for v in values:
-        if not _is_int(v):
-            raise ValueError(f"{name} must be ints, not {type(v).__name__}: {v!r}")
-    return tuple(int(v) for v in values)
-
-
 def binary_entries(name: str, values: Iterable) -> tuple:
-    """``values`` as a tuple of Python ints, each 0 or 1, taken by the rule
-    of :func:`int_entries`."""
+    """``values`` as a tuple of Python ints, each 0 or 1; a bool, a float or
+    anything else that is not an int or numpy integer is a ValueError naming
+    ``name``, not cast to an int."""
     values = tuple(values)
     for v in values:
         if not _is_int(v) or v not in (0, 1):
@@ -167,14 +158,15 @@ def parse_bits(name: str, text: str) -> tuple:
 
 
 def check_json_field(name: str, value, hint):
-    """``value``, read from a JSON file for a field annotated ``hint``, after
-    a type check; a value of the wrong type is a ValueError naming ``name``.
+    """``value``, given for a field annotated ``hint``, after a type check; a
+    value of the wrong type is a ValueError naming ``name``.  Every config,
+    from JSON or Python, is checked so at construction (:func:`check_fields`).
 
-    A bool field takes only a bool, an int field an int that is not a bool,
-    a float field also an int, and a str field a str.  ``Optional[X]`` also
-    takes null.  ``Tuple[X, ...]`` takes a list (returned as a tuple) whose
-    elements are checked as X.  A dataclass field takes an instance or a
-    JSON object, which the dataclass checks when it is built from it.
+    A bool field takes only a bool, an int field an int or numpy integer but
+    no bool (returned as a Python int), a float field also such an int, and a
+    str field a str.  ``Optional[X]`` also takes null.  ``Tuple[X, ...]``
+    takes a list (returned as a tuple) of Xs.  A dataclass field takes an
+    instance, or a JSON object without unknown or missing keys, built into one.
     """
     if get_origin(hint) is Union:  # Optional[X]
         return None if value is None else check_json_field(name, value, get_args(hint)[0])
@@ -183,13 +175,25 @@ def check_json_field(name: str, value, hint):
             raise ValueError(f"{name} must be a list, not {type(value).__name__}: {value!r}")
         return tuple(check_json_field(f"{name}[{i}]", v, get_args(hint)[0])
                      for i, v in enumerate(value))
-    if is_dataclass(hint):
-        ok = isinstance(value, (hint, dict))
-    elif hint in (int, float):
-        ok = isinstance(value, (int, hint)) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, hint)
-    if not ok:
+    if hint in (int, float) and _is_int(value):
+        return int(value)
+    if is_dataclass(hint) and isinstance(value, dict):
+        unknown = sorted(map(str, value.keys() - {f.name for f in fields(hint)}))
+        missing = [f.name for f in fields(hint) if f.default is MISSING and f.name not in value]
+        if unknown or missing:
+            raise ValueError(f"{hint.__name__}: unknown keys {unknown}, missing keys {missing}")
+        return hint(**value)
+    if hint is int or not isinstance(value, hint):
         want = "a JSON object" if is_dataclass(hint) else hint.__name__
         raise ValueError(f"{name} must be {want}, not {type(value).__name__}: {value!r}")
     return value
+
+
+def check_fields(obj) -> None:
+    """Re-store each field of the frozen dataclass ``obj`` as
+    :func:`check_json_field` returns it for the field's annotation."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        value = check_json_field(f"{type(obj).__name__}.{f.name}", getattr(obj, f.name),
+                                 hints[f.name])
+        object.__setattr__(obj, f.name, value)

@@ -14,8 +14,9 @@ dump and counted in the row's failures; they are never silently dropped.
 
 The config schema is the field order of :class:`ExperimentConfig`,
 :class:`GraphConfig` (``kind`` plus that kind's fields) and
-:class:`DecoderConfig`; ``from_dict`` rejects unknown and missing keys and
-values of the wrong JSON type.
+:class:`DecoderConfig`.  Every config, from JSON or Python, is checked at
+construction (:func:`~gtprior.core.check_fields`): an unknown or missing key,
+a wrongly typed value or a graph field of another kind is a ValueError.
 
 Report columns are the fields of :class:`AggregateRow` (summary) and
 :class:`TrialRecord` (trial dump) in declaration order; ``include_times``
@@ -26,31 +27,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
-from typing import List, Optional, Sequence, Tuple, get_type_hints
+from dataclasses import asdict, dataclass, fields, replace
+from typing import List, Optional, Sequence, Tuple
 
-from .core import DefectivityVector, check_json_field, count_fp_fn, int_entries
+from .core import DefectivityVector, check_fields, check_json_field, count_fp_fn
 from .decoders import decode, decoder_spec
 from .prior import (IsingPrior, ItemGraph, build_block, build_grid,
                     gibbs_sample, load_edge_list, perturb_edges,
                     subsample_vertices)
 from .rng import RNG_ID, derive_seed
 from .testing import bernoulli_design, run_tests
-
-
-def _from_dict(cls, obj):
-    """``cls(**obj)`` for a JSON object; a non-object, an unknown key, a
-    missing required key or a value of the wrong type for its field
-    (:func:`~gtprior.core.check_json_field`) is a ValueError naming them."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, not {type(obj).__name__}")
-    unknown = sorted(map(str, obj.keys() - {f.name for f in fields(cls)}))
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
-    if unknown or missing:
-        raise ValueError(f"{cls.__name__}: unknown keys {unknown}, missing keys {missing}")
-    hints = get_type_hints(cls)
-    return cls(**{key: check_json_field(f"{cls.__name__}.{key}", value, hints[key])
-                  for key, value in obj.items()})
 
 
 # Each graph kind's fields, in order: its JSON keys after "kind", its builder's args.
@@ -77,8 +63,14 @@ class GraphConfig:
     subsample: Optional[int] = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in _GRAPH_FIELDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
+        stray = [f.name for f in fields(self)[1:]  # after kind
+                 if f.name not in _GRAPH_FIELDS[self.kind]
+                 and getattr(self, f.name) != f.default]
+        if stray:
+            raise ValueError(f"GraphConfig: a {self.kind} graph takes no {stray}")
 
     def build(self, base_seed: int) -> ItemGraph:
         if self.kind == "edge_list":
@@ -106,6 +98,9 @@ class DecoderConfig:
     lam: Optional[float] = None
     phi: Optional[float] = None
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
@@ -123,16 +118,11 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not isinstance(self.graph, GraphConfig):
-            object.__setattr__(self, "graph", _from_dict(GraphConfig, self.graph))
-        object.__setattr__(self, "tests", int_entries("ExperimentConfig.tests", self.tests))
-        rho = check_json_field("ExperimentConfig.rho", tuple(self.rho), Tuple[float, ...])
-        object.__setattr__(self, "rho", tuple(float(r) for r in rho))
-        decs = tuple(d if isinstance(d, DecoderConfig) else _from_dict(DecoderConfig, d)
-                     for d in self.decoders)
-        object.__setattr__(self, "decoders", decs)
+        # Report rows print rho, so an int noise level is stored as a float.
+        object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
 
     def to_dict(self) -> dict:
         """The JSON form: every field in declaration order, tuples as lists."""
@@ -142,7 +132,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        return _from_dict(cls, obj)
+        return check_json_field("ExperimentConfig", obj, cls)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":

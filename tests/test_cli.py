@@ -168,6 +168,19 @@ class TestDecodeCommand:
         assert obj["presolved_shape"] == {"rows": 0, "vars": 0, "nnz": 0}
         assert obj["pivots"] == 0  # no row is left for the simplex
 
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "3", "3", "--subsample", "2", "--lam", "0.5", "--phi", "0.1"],
+        ["--block", "1", "1", "2", "2"], ["--edge-list", "graph.txt"],
+        ["--subsample", "2"], ["--lam", "0.5"], ["--phi", "0.1"],
+    ], ids=["all", "block", "edge-list", "subsample", "lam", "phi"])
+    def test_sparsity_with_prior_flags_is_usage_error(self, tmp_path, capsys, flags):
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps({"matrix": [[1, 0]]}))
+        code, _, err = run(capsys, "decode", "--design", str(dpath),
+                           "--outcomes", "0", "--decoder", "sparsity", *flags)
+        assert code == 1
+        assert err.startswith("error:") and flags[0] in err
+
     def test_noisy_sparsity_needs_eta(self, tmp_path, capsys):
         dpath = tmp_path / "design.json"
         run(capsys, "--seed", "9", "--out", str(dpath), "design", "--t", "4",

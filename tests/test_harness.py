@@ -350,15 +350,51 @@ class TestConfigIO:
             ExperimentConfig.from_dict({**PRESETS["ci-grid-10"], **edit})
 
     @pytest.mark.parametrize("edit, message", [
-        ({"tests": (6.7,)}, "ExperimentConfig.tests must be ints, not float"),
-        ({"tests": (True,)}, "ExperimentConfig.tests must be ints, not bool"),
+        ({"tests": (6.7,)}, r"ExperimentConfig.tests\[0\] must be int, not float"),
+        ({"tests": (True,)}, r"ExperimentConfig.tests\[0\] must be int, not bool"),
         ({"rho": ("0.01",)}, r"ExperimentConfig.rho\[0\] must be float, not str"),
         ({"rho": (False,)}, r"ExperimentConfig.rho\[0\] must be float, not bool"),
-    ], ids=["tests-float", "tests-bool", "rho-str", "rho-bool"])
+        ({"lam": "0.5"}, "ExperimentConfig.lam must be float, not str"),
+        ({"base_seed": 1.5}, "ExperimentConfig.base_seed must be int, not float"),
+        ({"trials": True}, "ExperimentConfig.trials must be int, not bool"),
+        ({"p": "x"}, "ExperimentConfig.p must be float, not str"),
+        ({"truth_sweeps": 10.0}, "ExperimentConfig.truth_sweeps must be int, not float"),
+    ], ids=["tests-float", "tests-bool", "rho-str", "rho-bool", "lam-str",
+            "base-seed-float", "trials-bool", "p-str", "truth-sweeps-float"])
     def test_python_built_config_values_are_not_cast(self, edit, message):
         fields = {**PRESETS["ci-grid-10"], **edit}
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (GraphConfig, {"kind": "grid", "rows": 3.5, "cols": 3},
+         "GraphConfig.rows must be int, not float"),
+        (DecoderConfig, {"family": "sparsity", "relaxed": "no"},
+         "DecoderConfig.relaxed must be bool, not str"),
+        (DecoderConfig, {"family": "sparsity", "eta": "1"},
+         "DecoderConfig.eta must be float, not str"),
+    ], ids=["graph-rows-float", "decoder-relaxed-str", "decoder-eta-str"])
+    def test_python_built_graph_and_decoder_values_are_not_cast(self, cls, kwargs,
+                                                                message):
+        with pytest.raises(ValueError, match=message):
+            cls(**kwargs)
+
+    def test_numpy_ints_are_stored_as_python_ints(self):
+        config = ExperimentConfig(**{**PRESETS["ci-grid-10"], "tests": (np.int64(60),),
+                                     "graph": GraphConfig("grid", rows=np.int64(3), cols=3)})
+        assert type(config.tests[0]) is int and type(config.graph.rows) is int
+        assert json.loads(json.dumps(config.to_dict()))["graph"]["rows"] == 3
+
+    @pytest.mark.parametrize("graph, names", [
+        ({"kind": "grid", "rows": 10, "cols": 10, "path": "x.txt", "block_rows": 7},
+         "'block_rows', 'path'"),
+        ({"kind": "edge_list", "path": "graph.txt", "rows": 3}, "'rows'"),
+    ], ids=["grid-with-path-and-block-rows", "edge-list-with-rows"])
+    def test_graph_field_of_another_kind_is_a_value_error(self, graph, names):
+        with pytest.raises(ValueError, match=f"a {graph['kind']} graph takes no .*{names}"):
+            ExperimentConfig.from_dict({**PRESETS["ci-grid-10"], "graph": graph})
+        with pytest.raises(ValueError, match=names):
+            GraphConfig(**graph)
 
     def test_config_types_accept_json_forms(self):
         config = ExperimentConfig.from_dict({**PRESETS["ci-grid-10"], "lam": 1,
