@@ -99,7 +99,7 @@ def decoder_spec(family: str, relaxed: bool, rho: float, eta: Optional[float],
     rate ``q`` (sparsity; without a ``q`` in (0, 0.5) there is no default
     and this raises ValueError).  ``prior`` is kept for ising_map only.
     """
-    noise = NoiseSpec("symmetric", rho) if rho > 0 else NoiseSpec()
+    noise = NoiseSpec.at(rho)
     if noise.is_noisy and eta is None:
         if family == "ising_map":
             eta = map_flip_penalty(rho)

@@ -16,7 +16,8 @@ The config schema is the field order of :class:`ExperimentConfig`,
 :class:`GraphConfig` (``kind`` plus that kind's fields) and
 :class:`DecoderConfig`.  Every config, from JSON or Python, is checked at
 construction (:func:`~gtprior.core.check_fields`): an unknown or missing key,
-a wrongly typed value or a graph field of another kind is a ValueError.
+a wrongly typed or out-of-range value or a graph field of another kind is a
+ValueError.
 
 Report columns are the fields of :class:`AggregateRow` (summary) and
 :class:`TrialRecord` (trial dump) in declaration order; ``include_times``
@@ -36,7 +37,7 @@ from .prior import (IsingPrior, ItemGraph, build_block, build_grid,
                     gibbs_sample, load_edge_list, perturb_edges,
                     subsample_vertices)
 from .rng import RNG_ID, derive_seed
-from .testing import bernoulli_design, run_tests
+from .testing import NoiseSpec, bernoulli_design, run_tests
 
 
 # Each graph kind's fields, in order: its JSON keys after "kind", its builder's args.
@@ -119,8 +120,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
+        # Range checks run here, before any truth is sampled or test decoded.
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.truth_sweeps < 1:
+            raise ValueError("truth_sweeps must be >= 1")
+        if any(t < 0 for t in self.tests):
+            raise ValueError(f"tests must be >= 0, got {list(self.tests)}")
+        if self.p is not None and not (0.0 <= self.p <= 1.0):
+            raise ValueError(f"p must lie in [0, 1], got {self.p}")
+        for rho in self.rho:
+            NoiseSpec.at(rho)  # the noise-level rule that decoding applies
         # Report rows print rho, so an int noise level is stored as a float.
         object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
 

@@ -1,5 +1,13 @@
 """Bernoulli test-design generation and the noiseless / symmetric-noise
-group-testing channels."""
+group-testing channels.
+
+A t x n design is stored as uint8, and neither the design nor the channel
+makes a t x n copy wider than that: :func:`bernoulli_design` draws its
+uniforms in row slices of at most ``_SLICE_BYTES`` and writes each
+comparison into the preallocated design, :class:`TestDesign` checks a bool
+or integer matrix by its min and max, and :func:`noiseless_outcomes` ORs
+only the truth's support columns.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +19,8 @@ import numpy as np
 
 from .core import DefectivityVector, binary_entries, check_json_field, parse_bits
 from .rng import RNG_ID, generator
+
+_SLICE_BYTES = 1 << 16  # the size that a design's float64 uniforms are drawn in
 
 
 @dataclass(frozen=True)
@@ -26,7 +36,7 @@ class TestDesign:
         if mat.ndim != 2:
             raise ValueError("design matrix must be 2-dimensional")
         # Checked before the cast, which would wrap 256 to 0 and cut 0.7 to 0.
-        if not np.isin(mat, (0, 1)).all():
+        if not _is_binary(mat):
             raise ValueError("design entries must be 0 or 1")
         mat = mat.astype(np.uint8, copy=False)
         mat.flags.writeable = False
@@ -41,6 +51,14 @@ class TestDesign:
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
+
+
+def _is_binary(mat: np.ndarray) -> bool:
+    """True when every entry equals 0 or 1, as ``np.isin(mat, (0, 1))`` tests;
+    a bool or integer matrix is checked by its min and max, without a copy."""
+    if mat.dtype.kind in "biu":
+        return mat.size == 0 or bool(mat.min() >= 0 and mat.max() <= 1)
+    return bool(((mat == 0) | (mat == 1)).all())
 
 
 @dataclass(frozen=True)
@@ -83,6 +101,12 @@ class NoiseSpec:
         if self.kind == "noiseless" and self.rho:
             raise ValueError("noiseless noise cannot carry rho")
 
+    @classmethod
+    def at(cls, rho: float) -> "NoiseSpec":
+        """The noise of symmetric level ``rho``: noiseless at 0, and otherwise
+        symmetric, so a rho outside [0, 0.5) or NaN is a ValueError."""
+        return cls("symmetric", rho) if rho != 0 else cls()
+
     @property
     def is_noisy(self) -> bool:
         """True when outcomes can actually flip (symmetric with rho > 0)."""
@@ -96,7 +120,12 @@ def bernoulli_design(t: int, n: int, p: float, seed: int) -> TestDesign:
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     gen = generator(seed)
-    mat = (gen.random((t, n)) < p).astype(np.uint8)
+    mat = np.empty((t, n), dtype=np.uint8)
+    # PCG64 hands out the same doubles whether drawn at once or in slices.
+    step = max(1, _SLICE_BYTES // (8 * n))
+    for first in range(0, t, step):
+        rows = mat[first:first + step]
+        np.less(gen.random(rows.shape), p, out=rows)
     return TestDesign(mat, bernoulli_p=p, seed=seed)
 
 
@@ -104,7 +133,8 @@ def noiseless_outcomes(design: TestDesign, u: DefectivityVector) -> np.ndarray:
     """Per-test OR of the included defectives, as a uint8 array."""
     if design.n != u.n:
         raise ValueError(f"dimension mismatch: design n={design.n}, u.n={u.n}")
-    return (design.matrix @ u.to_numpy().astype(np.int64) >= 1).astype(np.uint8)
+    support = np.flatnonzero(u.to_numpy())
+    return design.matrix[:, support].any(axis=1).astype(np.uint8)
 
 
 def run_tests(design: TestDesign, u: DefectivityVector, noise: NoiseSpec,

@@ -49,7 +49,7 @@ def random_ising_instance(rng, rho):
     design = bernoulli_design(t, n, float(rng.uniform(0.1, 0.5)),
                               seed=int(rng.integers(2**31)))
     truth = DefectivityVector(tuple(int(v) for v in rng.integers(0, 2, n)))
-    noise = NoiseSpec("symmetric", rho) if rho else NoiseSpec()
+    noise = NoiseSpec.at(rho)
     y = run_tests(design, truth, noise, seed=int(rng.integers(2**31)))
     return prior, design, noise, y
 

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtprior
 from gtprior.cli import main
 from gtprior.testing import design_from_text
 
@@ -189,6 +193,26 @@ class TestDecodeCommand:
                          "--outcomes", "0000", "--decoder", "sparsity",
                          "--rho", "0.05")
         assert code == 1
+
+    @pytest.mark.parametrize("rho", ["-0.2", "nan"])
+    def test_noise_level_outside_range_is_usage_error(self, tmp_path, capsys, rho):
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
+        code, out, err = run(capsys, "decode", "--design", str(dpath), "--outcomes", "10",
+                             "--decoder", "sparsity", "--eta", "2", "--rho", rho)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "rho must lie in [0, 0.5)" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test extra only; the program itself stays numpy-only.
+    src = str(Path(gtprior.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, gtprior.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestBoundsCommand:

@@ -37,7 +37,7 @@ def random_instance(rng, n_range=(6, 13), max_edges=14, t_range=(4, 21),
     design = bernoulli_design(t, n, float(rng.uniform(0.1, 0.5)),
                               seed=int(rng.integers(2**31)))
     truth = DefectivityVector(tuple(int(v) for v in rng.integers(0, 2, n)))
-    noise = NoiseSpec("symmetric", rho) if rho else NoiseSpec()
+    noise = NoiseSpec.at(rho)
     y = run_tests(design, truth, noise, seed=int(rng.integers(2**31)))
     return prior, design, truth, noise, y
 
@@ -342,6 +342,12 @@ class TestDecode:
         for q in (None, 0.0, 0.5):
             with pytest.raises(ValueError):
                 decoder_spec("sparsity", False, 0.01, None, None, q)
+
+    @pytest.mark.parametrize("rho", [-0.1, float("nan"), 0.5])
+    def test_decoder_spec_rejects_noise_level_outside_range(self, rho):
+        for eta in (None, 2.0):
+            with pytest.raises(ValueError, match=r"rho must lie in \[0, 0.5\)"):
+                decoder_spec("sparsity", False, rho, eta, None, 0.1)
 
 
 class TestBruteForceMap:

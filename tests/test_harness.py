@@ -366,6 +366,34 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**fields)
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"tests": [8, -1]}, r"tests must be >= 0"),
+        ({"p": 1.5}, r"p must lie in \[0, 1\]"),
+        ({"p": -0.1}, r"p must lie in \[0, 1\]"),
+        ({"p": float("nan")}, r"p must lie in \[0, 1\]"),
+        ({"rho": [0.0, 0.7]}, r"rho must lie in \[0, 0.5\)"),
+        ({"rho": [-0.1]}, r"rho must lie in \[0, 0.5\)"),
+        ({"rho": [float("nan")]}, r"rho must lie in \[0, 0.5\)"),
+        ({"truth_sweeps": 0}, r"truth_sweeps must be >= 1"),
+    ], ids=["tests-negative", "p-above-1", "p-negative", "p-nan", "rho-0.7",
+            "rho-negative", "rho-nan", "truth-sweeps-0"])
+    def test_out_of_range_value_is_rejected_before_any_work(self, monkeypatch, edit,
+                                                             message):
+        calls = []
+        for name in ("sample_truth", "bernoulli_design", "run_tests", "decode"):
+            def counted(*args, _name=name, _real=getattr(harness, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(harness, name, counted)
+        # Through JSON text, which parses NaN.
+        text = json.dumps({**small_config().to_dict(), **edit})
+        with pytest.raises(ValueError, match=message):
+            run_experiment(ExperimentConfig.from_dict(json.loads(text)))
+        with pytest.raises(ValueError, match=message):
+            small_config(**{k: tuple(v) if isinstance(v, list) else v
+                            for k, v in edit.items()})
+        assert calls == []
+
     @pytest.mark.parametrize("cls, kwargs, message", [
         (GraphConfig, {"kind": "grid", "rows": 3.5, "cols": 3},
          "GraphConfig.rows must be int, not float"),

@@ -393,7 +393,7 @@ def decoder_model(family, matrix, y, rho=0.0, relaxed=False, lam=0.5, phi=0.1,
 
     matrix = np.asarray(matrix, dtype=np.uint8)
     design, out = TestDesign(matrix), OutcomeVector(tuple(y))
-    noise = NoiseSpec("symmetric", rho) if rho else NoiseSpec()
+    noise = NoiseSpec.at(rho)
     prior = None
     if family == "ising_map":
         prior = IsingPrior.uniform(build_grid(rows, matrix.shape[1] // rows), lam, phi)

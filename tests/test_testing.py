@@ -1,13 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gtprior.core import DefectivityVector
-from gtprior.testing import (NoiseSpec, OutcomeVector, TestDesign,
+from gtprior.rng import generator
+from gtprior.testing import (_SLICE_BYTES, NoiseSpec, OutcomeVector, TestDesign,
                              bernoulli_design, design_from_text, design_to_csv,
                              design_to_json, noiseless_outcomes, run_tests)
 from helpers import vec
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak of ``fn(*args)`` above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestBernoulliDesign:
@@ -33,6 +46,27 @@ class TestBernoulliDesign:
     def test_bad_p_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_design(2, 2, 1.5, seed=0)
+
+    def test_equals_one_shot_reference(self):
+        # The reference draws every uniform at once; the design draws them in
+        # row slices, so t runs across several slice boundaries here.
+        rng = np.random.default_rng(21)
+        cases = [(0, 5, 0.5), (3, 4, 0.0), (3, 4, 1.0), (1, 1, 0.5)]
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            rows_per_slice = max(1, _SLICE_BYTES // (8 * n))
+            t = int(rng.integers(0, 4 * rows_per_slice + 2))
+            cases.append((t, n, float(rng.choice([0.0, 1.0, rng.random()]))))
+        for t, n, p in cases:
+            seed = int(rng.integers(2**63))
+            ref = (generator(seed).random((t, n)) < p).astype(np.uint8)
+            got = bernoulli_design(t, n, p, seed)
+            assert got.matrix.dtype == np.uint8 and got.matrix.shape == (t, n)
+            assert np.array_equal(got.matrix, ref), (t, n, p, seed)
+
+    def test_design_allocates_little_beyond_itself(self):
+        # 500 x 784 uint8 is 392,000 bytes; one-shot float64 uniforms would be 3.1 MB.
+        assert traced_peak(bernoulli_design, 500, 784, 0.05, 3) < 2 * 392_000
 
 
 class TestRunTests:
@@ -73,6 +107,23 @@ class TestRunTests:
             y1 = noiseless_outcomes(d, DefectivityVector(tuple(more)))
             assert (y1 >= y0).all()
 
+    def test_outcomes_equal_matmul_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            t, n = int(rng.integers(0, 40)), int(rng.integers(1, 30))
+            d = bernoulli_design(t, n, float(rng.random()), int(rng.integers(2**31)))
+            for bits in (np.zeros(n, int), np.ones(n, int), rng.integers(0, 2, n)):
+                u = DefectivityVector(tuple(bits))
+                ref = (d.matrix.astype(np.int64) @ bits.astype(np.int64) >= 1).astype(np.uint8)
+                got = noiseless_outcomes(d, u)
+                assert got.dtype == np.uint8 and np.array_equal(got, ref)
+
+    def test_channel_allocates_no_wide_copy(self):
+        d = bernoulli_design(500, 784, 0.05, 3)
+        u = DefectivityVector(tuple(int(i % 50 == 0) for i in range(784)))
+        assert traced_peak(run_tests, d, u, NoiseSpec()) < 100_000
+        assert traced_peak(run_tests, d, u, NoiseSpec("symmetric", 0.01), 7) < 100_000
+
     def test_rho_zero_equals_noiseless(self):
         d = bernoulli_design(50, 20, 0.2, seed=5)
         u = DefectivityVector(tuple(np.random.default_rng(5).integers(0, 2, 20)))
@@ -97,6 +148,15 @@ class TestNoiseSpec:
             NoiseSpec("symmetric", 0.5)
         with pytest.raises(ValueError):
             NoiseSpec("symmetric", -0.01)
+
+    @pytest.mark.parametrize("rho", [-0.1, 0.5, 0.7, float("nan"), float("inf")])
+    def test_level_outside_range_rejected(self, rho):
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 0.5\)"):
+            NoiseSpec.at(rho)
+
+    def test_level_zero_is_noiseless(self):
+        assert NoiseSpec.at(0.0) == NoiseSpec.at(0) == NoiseSpec()
+        assert NoiseSpec.at(0.01) == NoiseSpec("symmetric", 0.01)
 
     def test_is_noisy(self):
         assert not NoiseSpec().is_noisy
@@ -152,6 +212,23 @@ class TestDesignSerialization:
     def test_design_entries_are_checked_before_the_cast(self, entries):
         with pytest.raises(ValueError, match="0 or 1"):
             TestDesign(np.array(entries))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, np.float64])
+    def test_design_check_agrees_with_isin(self, dtype):
+        rng = np.random.default_rng(41)
+        values = np.array([0, 1, 0.0, 1.0, -0.0, 0.7, -1, 2, 255, 256, -128,
+                           np.nan, np.inf, -np.inf])
+        for _ in range(200):
+            entries = rng.choice(values, size=(int(rng.integers(0, 4)), int(rng.integers(1, 4))))
+            if rng.random() < 0.5:
+                entries = np.clip(entries, 0, 1)
+            with np.errstate(invalid="ignore"):
+                mat = entries.astype(dtype)
+            if np.isin(mat, (0, 1)).all():
+                assert np.array_equal(TestDesign(mat).matrix, mat)
+            else:
+                with pytest.raises(ValueError, match="0 or 1"):
+                    TestDesign(mat)
 
     @pytest.mark.parametrize("text", ['{"matrix": [[256, 0]]}', '{"matrix": [[0.7, 1]]}',
                                       "256,0\n", "0,1\n1,256\n"])
