@@ -179,27 +179,24 @@ def evaluate(query: BoundQuery) -> BoundResult:
                        extra_log_term=extra)
 
 
-def emit_rate_curves(pairs: Sequence[Tuple[float, float]]) -> List[dict]:
-    """Rows (alpha_star, beta, m, nu_star, rate_s, rate_nk) for a grid of
-    (alpha*, beta) points; feed an m-grid as pairs (m, m)."""
+@dataclass(frozen=True)
+class RateCurveRow:
+    """One rate-curve point; its fields, in this order, are the report columns."""
+
+    alpha_star: float
+    beta: float
+    m: float
+    nu_star: float
+    rate_s: float
+    rate_nk: float
+
+
+def emit_rate_curves(pairs: Sequence[Tuple[float, float]]) -> List[RateCurveRow]:
+    """One row per (alpha*, beta) point; feed an m-grid as pairs (m, m)."""
     rows = []
     for alpha_star, beta in pairs:
+        alpha_star, beta = float(alpha_star), float(beta)
         m = max(alpha_star, beta)
         rate_s, nu_star = rate_limit_at(m)
-        rows.append({
-            "alpha_star": alpha_star,
-            "beta": beta,
-            "m": m,
-            "nu_star": nu_star,
-            "rate_s": rate_s,
-            "rate_nk": rate_s / beta,
-        })
+        rows.append(RateCurveRow(alpha_star, beta, m, nu_star, rate_s, rate_s / beta))
     return rows
-
-
-def rate_curves_csv(rows: Sequence[dict]) -> str:
-    header = "alpha_star,beta,m,nu_star,rate_s,rate_nk"
-    lines = [header]
-    for r in rows:
-        lines.append(",".join(repr(float(r[c])) for c in header.split(",")))
-    return "\n".join(lines) + "\n"

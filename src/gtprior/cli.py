@@ -14,6 +14,7 @@ import sys
 from typing import Optional
 
 from . import bounds as bounds_mod
+from .core import records_csv
 from .decoders import decode, decoder_spec
 from .harness import (PRESETS, ExperimentConfig, blocks_csv, blocks_json, emit,
                       render_report, run_experiment, run_graph_mismatch,
@@ -187,9 +188,9 @@ def _cmd_bounds(args) -> None:
         ms = [float(v) for v in args.grid.split(",") if v]
         rows = bounds_mod.emit_rate_curves([(m, m) for m in ms])
         if args.format == "csv":
-            _write(bounds_mod.rate_curves_csv(rows), args.out)
+            _write(records_csv(bounds_mod.RateCurveRow, rows), args.out)
         else:
-            _write(json.dumps(rows, indent=2) + "\n", args.out)
+            _write(json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n", args.out)
         return
     if args.alpha_star is None or args.beta is None:
         raise UsageError("supply --alpha-star and --beta (or --grid)")
@@ -229,6 +230,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and (args.command == "decode"
+                                     or (args.command == "bounds" and not args.grid)):
+            raise UsageError(f"{args.command} has no CSV form; use --format json")
         args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

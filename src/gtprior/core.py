@@ -1,6 +1,6 @@
 """Domain types shared by all modules: defectivity vectors, defective sets,
-the approximate-recovery distance, and the error metrics reported in
-experiments.
+the approximate-recovery distance, the error metrics reported in
+experiments, the config type check and the CSV emitter of record types.
 
 Items are 0-indexed throughout.  All types are immutable values and all
 operations are pure.
@@ -187,6 +187,20 @@ def check_json_field(name: str, value, hint):
         want = "a JSON object" if is_dataclass(hint) else hint.__name__
         raise ValueError(f"{name} must be {want}, not {type(value).__name__}: {value!r}")
     return value
+
+
+def record_columns(record_type, include_times: bool = True) -> tuple:
+    """A record type's fields in declaration order, less ``time_s`` unless
+    ``include_times``: the columns of its reports."""
+    return tuple(f.name for f in fields(record_type) if include_times or f.name != "time_s")
+
+
+def records_csv(record_type, records, include_times: bool = True) -> str:
+    """``records`` as CSV in :func:`record_columns` order, a bool as 0/1."""
+    cols = record_columns(record_type, include_times)
+    lines = [cols] + [[getattr(r, c) for c in cols] for r in records]
+    return "".join(",".join(str(int(v)) if isinstance(v, bool) else str(v) for v in line)
+                   + "\n" for line in lines)
 
 
 def check_fields(obj) -> None:

@@ -38,21 +38,29 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
-from itertools import combinations
+from dataclasses import asdict, dataclass, field
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DefectiveSet, DefectivityVector, approx_distance
+from .core import DefectiveSet, DefectivityVector
 from .milp import MilpModel, ModelShape, csr_arrays, solve_ilp, solve_lp
-from .prior import (_CHUNK_BITS, _ENUM_LIMIT, IsingPrior, _config_chunk,
-                    log_unnormalized_prob_many)
+from .prior import IsingPrior, config_chunks, log_unnormalized_prob_many
 from .testing import NoiseSpec, OutcomeVector, TestDesign
+
+
+_SLICE_CELLS = 1 << 18  # the cells of one (chunk, k, |S|) overlap temporary
 
 
 class ModelViolationError(ValueError):
     """An observed outcome has probability zero under the assumed model."""
+
+
+def check_family(family: str) -> None:
+    """Raise ValueError unless ``family`` names a decoder family."""
+    if family not in ("sparsity", "ising_map"):
+        raise ValueError(f"unknown decoder family {family!r}")
 
 
 def map_flip_penalty(rho: float) -> float:
@@ -80,8 +88,7 @@ class DecoderSpec:
     prior: Optional[IsingPrior] = None
 
     def __post_init__(self):
-        if self.family not in ("sparsity", "ising_map"):
-            raise ValueError(f"unknown decoder family {self.family!r}")
+        check_family(self.family)
         if self.family == "ising_map" and self.prior is None:
             raise ValueError("ising_map decoding requires a prior")
         if self.noise.is_noisy:
@@ -115,10 +122,13 @@ def decoder_spec(family: str, relaxed: bool, rho: float, eta: Optional[float],
 
 @dataclass(frozen=True)
 class CandidateFamily:
-    """An explicit family of same-size candidate defective sets."""
+    """An explicit family of same-size candidate defective sets and its
+    read-only (|S|, n) 0/1 ``membership`` matrix, from which every family
+    quantity below takes one distance, d(S, S') = k - |S & S'|."""
 
     sets: tuple
     k: int
+    membership: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sets = tuple(self.sets)
@@ -131,6 +141,10 @@ class CandidateFamily:
         if len({s.n for s in sets}) != 1:
             raise ValueError("family members must share the ambient n")
         object.__setattr__(self, "sets", sets)
+        m = np.zeros((len(sets), sets[0].n), dtype=np.int64)
+        np.put_along_axis(m, np.array([s.members for s in sets], dtype=np.intp), 1, axis=1)
+        m.flags.writeable = False
+        object.__setattr__(self, "membership", m)
 
     @property
     def n(self) -> int:
@@ -335,24 +349,17 @@ def brute_force_map(design: TestDesign, y: OutcomeVector, prior: IsingPrior,
     Ties break to the lexicographically smallest vector.  In the noiseless
     case with no outcome-consistent vector the decode fails (None).
     """
-    n = design.n
-    if n > _ENUM_LIMIT:
-        raise ValueError(f"brute_force_map needs n <= {_ENUM_LIMIT}, got {n}")
-    if prior.n != n:
+    chunks = config_chunks(design.n, "brute_force_map")
+    if prior.n != design.n:
         raise ValueError("prior and design disagree on the item count")
-    best_score = -math.inf
-    best_bits = None
-    chunk = 1 << min(n, _CHUNK_BITS)
-    for start in range(0, 1 << n, chunk):
-        configs = _config_chunk(n, start, min(start + chunk, 1 << n))
+    best_score, best_bits = -math.inf, None
+    for configs in chunks:
         scores = _posterior_scores(prior, configs, design, y, noise)
         i = int(np.argmax(scores))
         if scores[i] > best_score:
             best_score = float(scores[i])
             best_bits = tuple(int(v) for v in configs[i])
-    if best_score == -math.inf:
-        return None
-    return DefectivityVector(best_bits)
+    return None if best_bits is None else DefectivityVector(best_bits)
 
 
 def info_density(design: TestDesign, y: OutcomeVector, s_dif: DefectiveSet,
@@ -375,15 +382,15 @@ def info_density(design: TestDesign, y: OutcomeVector, s_dif: DefectiveSet,
     if ((hit_dif | hit_eq) != y_arr).any():
         raise ModelViolationError("observed outcome has zero probability under "
                                   "the noiseless model for this candidate")
-    return _density_sum(y_arr, hit_eq, s_dif.k, p)
-
-
-def _density_sum(y_arr, hit_eq, tau, p):
-    """Sum of per-test densities given consistency (numerator = 1)."""
-    q = (1.0 - p) ** tau
     free = ~hit_eq  # tests hitting s_eq contribute exactly 0
-    pos = int((free & y_arr).sum())
-    neg = int((free & ~y_arr).sum())
+    return _density(int((free & y_arr).sum()), int((free & ~y_arr).sum()), s_dif.k, p)
+
+
+def _density(pos: int, neg: int, tau: int, p: float) -> float:
+    """The summed density of an outcome-consistent candidate (numerator 1)
+    whose s_eq misses ``pos`` positive and ``neg`` negative tests, with
+    |s_dif| = tau; it grows with ``pos``."""
+    q = (1.0 - p) ** tau
     total = 0.0
     if pos:
         total += pos * (-math.log2(1.0 - q))
@@ -392,15 +399,25 @@ def _density_sum(y_arr, hit_eq, tau, p):
     return total
 
 
+def _distance_chunks(family: CandidateFamily, subsets):
+    """d(S, S') from each size-k index tuple S in ``subsets`` to every family
+    member S', in (chunk, |S|) blocks whose (chunk, k, |S|) temporary has at
+    most ``_SLICE_CELLS`` cells (or one row)."""
+    m, k = family.membership, family.k
+    step = max(1, _SLICE_CELLS // (max(k, 1) * len(m)))
+    subsets = iter(subsets)
+    while chunk := list(islice(subsets, step)):
+        yield k - m.T[np.array(chunk, dtype=np.intp)].sum(axis=1)
+
+
 def n_tau_counts(family: CandidateFamily) -> np.ndarray:
     """N_tau for tau = 0..k: the worst-case number of family members at each
     distance from some member (pairwise distances over the explicit family)."""
-    k = family.k
-    counts = np.zeros((len(family.sets), k + 1), dtype=np.int64)
-    for i, si in enumerate(family.sets):
-        for sj in family.sets:
-            counts[i, approx_distance(si, sj)] += 1
-    return counts.max(axis=0)
+    counts = np.zeros(family.k + 1, dtype=np.int64)
+    for d in _distance_chunks(family, (s.members for s in family.sets)):
+        at = (d[:, :, None] == np.arange(family.k + 1)).sum(axis=1)  # (chunk, k + 1)
+        counts = np.maximum(counts, at.max(axis=0))
+    return counts
 
 
 def n_tilde_max(family: CandidateFamily, d_max: int) -> int:
@@ -409,14 +426,8 @@ def n_tilde_max(family: CandidateFamily, d_max: int) -> int:
     n, k = family.n, family.k
     if math.comb(n, k) > 2_000_000:
         raise ValueError("n_tilde_max enumeration budget exceeded")
-    members = [set(s.members) for s in family.sets]
-    best = 0
-    for combo in combinations(range(n), k):
-        s = set(combo)
-        near = sum(1 for sp in members
-                   if max(len(s - sp), len(sp - s)) <= d_max)
-        best = max(best, near)
-    return best
+    return max(int((d <= d_max).sum(axis=1).max())
+               for d in _distance_chunks(family, combinations(range(n), k)))
 
 
 def threshold_decode(family: CandidateFamily, design: TestDesign,
@@ -436,40 +447,33 @@ def threshold_decode(family: CandidateFamily, design: TestDesign,
         raise ValueError("threshold_decode is limited to k <= 12 and |family| <= 200")
     if family.n != design.n:
         raise ValueError("family and design disagree on the item count")
-    if p is None:
-        p = design.bernoulli_p
+    if design.t != y.t:
+        raise ValueError("design and outcomes disagree on the test count")
+    p = design.bernoulli_p if p is None else p
     if p is None or not (0.0 < p < 1.0):
         raise ValueError("threshold_decode needs the design's Bernoulli parameter")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    n_tau = n_tau_counts(family)
-    gammas = {}
-    for tau in range(d_max + 1, k + 1):
-        gammas[tau] = (math.log2(k * int(n_tau[tau]) / delta)
-                       if n_tau[tau] > 0 else -math.inf)
-    x = design.matrix
-    y_arr = y.to_numpy().astype(bool)
-    satisfiers = []
-    for s in family.sets:
-        inc = x[:, list(s.members)].astype(bool)  # (t, k) membership hits
-        consistent = bool((inc.any(axis=1) == y_arr).all())
-        accepted = True
-        for tau in range(d_max + 1, k + 1):
-            gamma = gammas[tau]
-            for dif_pos in combinations(range(k), tau):
-                if not consistent:
-                    density = -math.inf
-                else:
-                    eq_pos = [i for i in range(k) if i not in dif_pos]
-                    hit_eq = inc[:, eq_pos].any(axis=1)
-                    density = _density_sum(y_arr, hit_eq, tau, p)
-                if not density >= gamma:
-                    accepted = False
-                    break
-            if not accepted:
-                break
-        if accepted:
-            satisfiers.append(s)
-    if len(satisfiers) == 1:
-        return satisfiers[0]
-    return None
+    gammas = {tau: math.log2(k * int(count) / delta) if count > 0 else -math.inf
+              for tau, count in enumerate(n_tau_counts(family)) if tau > d_max}
+    m, y_arr = family.membership, y.to_numpy().astype(bool)
+    inc = design.matrix[:, np.nonzero(m)[1].reshape(len(m), k)]  # (t, |S|, k) hits
+    consistent = (inc.any(axis=2) == y_arr[:, None]).all(axis=0)
+    # A consistent candidate's density grows with the positive tests its s_eq
+    # misses (negative tests miss all of s), so each tau needs only the s_eq
+    # of size k - tau that misses fewest; an inconsistent one's is -inf.
+    # missed[s, c]: the positive tests hitting no member of s outside bitmask
+    # c, i.e. missed by s_eq = s minus c.  Each test is counted at the bitmask
+    # of the members it hits, and each c sums the counts of its submasks.
+    hits = inc[y_arr] @ (1 << np.arange(k)) + (np.arange(len(m)) << k)
+    missed = np.bincount(hits.ravel(), minlength=len(m) << k).reshape(len(m), -1)
+    for j in range(k):
+        half = missed.reshape(len(m), -1, 2, 1 << j)
+        half[:, :, 1] += half[:, :, 0]
+    dif_size = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).sum(axis=1)
+    least = {tau: missed[:, dif_size == tau].min(axis=1) for tau in gammas}
+    neg = int((~y_arr).sum())
+    accepted = [s for i, s in enumerate(family.sets) if all(
+        (_density(int(least[tau][i]), neg, tau, p) if consistent[i] else -math.inf) >= gamma
+        for tau, gamma in gammas.items())]
+    return accepted[0] if len(accepted) == 1 else None

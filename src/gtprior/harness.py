@@ -31,8 +31,9 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .core import DefectivityVector, check_fields, check_json_field, count_fp_fn
-from .decoders import decode, decoder_spec
+from .core import (DefectivityVector, check_fields, check_json_field, count_fp_fn,
+                   record_columns, records_csv)
+from .decoders import check_family, decode, decoder_spec
 from .prior import (IsingPrior, ItemGraph, build_block, build_grid,
                     gibbs_sample, load_edge_list, perturb_edges,
                     subsample_vertices)
@@ -101,6 +102,7 @@ class DecoderConfig:
 
     def __post_init__(self):
         check_fields(self)
+        check_family(self.family)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -227,13 +229,7 @@ class ExperimentReport:
     metadata: dict
 
 
-def _columns(record_type, include_times: bool = True) -> tuple:
-    """Report columns of a record type: its fields, in declaration order."""
-    return tuple(f.name for f in fields(record_type)
-                 if include_times or f.name != "time_s")
-
-
-CSV_COLUMNS = _columns(AggregateRow)
+CSV_COLUMNS = record_columns(AggregateRow)
 
 
 def sample_truth(config: ExperimentConfig, graph: Optional[ItemGraph] = None
@@ -349,31 +345,20 @@ def run_lambda_mismatch(config: ExperimentConfig, lambda_values: Sequence[float]
             for lam in lambda_values]
 
 
-def _cell(value) -> str:
-    return str(int(value)) if isinstance(value, bool) else str(value)
-
-
-def _csv(record_type, records, include_times: bool = True) -> str:
-    cols = _columns(record_type, include_times)
-    lines = [",".join(cols)]
-    lines.extend(",".join(_cell(getattr(r, c)) for c in cols) for r in records)
-    return "\n".join(lines) + "\n"
-
-
 def report_csv(report: ExperimentReport, include_times: bool = True) -> str:
     """Deterministic CSV body; drop the wall-time column for byte-level
     reproducibility comparisons."""
-    return _csv(AggregateRow, report.rows, include_times)
+    return records_csv(AggregateRow, report.rows, include_times)
 
 
 def trials_csv(report: ExperimentReport) -> str:
-    return _csv(TrialRecord, report.trial_records)
+    return records_csv(TrialRecord, report.trial_records)
 
 
 def report_json(report: ExperimentReport, include_trials: bool = False,
                 include_times: bool = True) -> str:
     def dicts(record_type, records):
-        cols = _columns(record_type, include_times)
+        cols = record_columns(record_type, include_times)
         return [{c: getattr(r, c) for c in cols} for r in records]
 
     body = {"rows": dicts(AggregateRow, report.rows), "metadata": report.metadata}
@@ -406,10 +391,7 @@ def emit(report: ExperimentReport, fmt: str, path: str,
 
 def blocks_csv(blocks: Sequence[Tuple[float, ExperimentReport]], label: str) -> str:
     """Concatenated per-block CSV, each block preceded by '# <label>=<value>'."""
-    parts = []
-    for value, report in blocks:
-        parts.append(f"# {label}={value!r}\n" + report_csv(report))
-    return "".join(parts)
+    return "".join(f"# {label}={value!r}\n" + report_csv(report) for value, report in blocks)
 
 
 def blocks_json(blocks: Sequence[Tuple[float, ExperimentReport]], label: str) -> str:

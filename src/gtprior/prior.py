@@ -37,7 +37,7 @@ import numpy as np
 from .core import DefectivityVector
 from .rng import generator
 
-_ENUM_LIMIT = 20  # full-enumeration budget for exact_marginals / brute force
+_ENUM_LIMIT = 20  # the largest n that config_chunks enumerates
 _CHUNK_BITS = 16
 
 
@@ -116,15 +116,17 @@ def log_unnormalized_prob(prior: IsingPrior, u: DefectivityVector) -> float:
     return float(log_unnormalized_prob_many(prior, u.to_numpy()[None])[0])
 
 
-def _config_chunk(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the lexicographic enumeration of {0,1}^n.
-
-    Row v has bit j equal to bit (n-1-j) of v, so increasing v walks the
-    tuples (u_0, ..., u_{n-1}) in lexicographic order.
-    """
-    vals = np.arange(start, stop, dtype=np.int64)
+def config_chunks(n: int, caller: str):
+    """{0,1}^n in lexicographic order, as int8 blocks of at most
+    ``2**_CHUNK_BITS`` rows: row v has bit j equal to bit (n-1-j) of v.  An n
+    above ``_ENUM_LIMIT`` is a ValueError naming ``caller``, raised by this
+    call rather than at the first block."""
+    if n > _ENUM_LIMIT:
+        raise ValueError(f"{caller} needs n <= {_ENUM_LIMIT}, got {n}")
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((vals[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+    step = 1 << min(n, _CHUNK_BITS)
+    return ((np.arange(v, min(v + step, 1 << n), dtype=np.int64)[:, None] >> shifts & 1)
+            .astype(np.int8) for v in range(0, 1 << n, step))
 
 
 def log_unnormalized_prob_many(prior: IsingPrior, configs: np.ndarray) -> np.ndarray:
@@ -132,26 +134,19 @@ def log_unnormalized_prob_many(prior: IsingPrior, configs: np.ndarray) -> np.nda
     s = 2.0 * np.asarray(configs).astype(float) - 1.0
     out = -(s @ prior.phi)
     if prior.graph.num_edges:
-        ej = np.array([e[0] for e in prior.graph.edges])
-        ek = np.array([e[1] for e in prior.graph.edges])
+        ej, ek = np.array(prior.graph.edges).T
         out += (s[:, ej] * s[:, ek]) @ prior.lam
     return out
 
 
 def exact_marginals(prior: IsingPrior) -> np.ndarray:
     """P(u_j = 1) for every vertex, by full enumeration (n <= 20 only)."""
-    n = prior.n
-    if n > _ENUM_LIMIT:
-        raise ValueError(f"exact_marginals needs n <= {_ENUM_LIMIT}, got {n}")
-    log_z = -np.inf
-    log_m = np.full(n, -np.inf)
-    chunk = 1 << min(n, _CHUNK_BITS)
-    for start in range(0, 1 << n, chunk):
-        configs = _config_chunk(n, start, min(start + chunk, 1 << n))
+    log_z, log_m = -np.inf, np.full(prior.n, -np.inf)
+    for configs in config_chunks(prior.n, "exact_marginals"):
         lw = log_unnormalized_prob_many(prior, configs)
         top = lw.max()
         log_z = np.logaddexp(log_z, top + math.log(np.exp(lw - top).sum()))
-        for j in range(n):
+        for j in range(prior.n):
             mask = configs[:, j] == 1
             if mask.any():
                 block = lw[mask]

@@ -6,14 +6,15 @@ makes a t x n copy wider than that: :func:`bernoulli_design` draws its
 uniforms in row slices of at most ``_SLICE_BYTES`` and writes each
 comparison into the preallocated design, :class:`TestDesign` checks a bool
 or integer matrix by its min and max, and :func:`noiseless_outcomes` ORs
-only the truth's support columns.
+only the truth's support columns.  :class:`TestDesign` copies any matrix
+that another array could write, but not :func:`bernoulli_design`'s read-only one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Tuple, get_type_hints
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class TestDesign:
         # Checked before the cast, which would wrap 256 to 0 and cut 0.7 to 0.
         if not _is_binary(mat):
             raise ValueError("design entries must be 0 or 1")
-        mat = mat.astype(np.uint8, copy=False)
+        if mat.dtype != np.uint8 or mat.flags.writeable or mat.base is not None:
+            mat = mat.astype(np.uint8)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         if self.bernoulli_p is not None and not (0.0 <= self.bernoulli_p <= 1.0):
@@ -126,6 +128,7 @@ def bernoulli_design(t: int, n: int, p: float, seed: int) -> TestDesign:
     for first in range(0, t, step):
         rows = mat[first:first + step]
         np.less(gen.random(rows.shape), p, out=rows)
+    mat.flags.writeable = False
     return TestDesign(mat, bernoulli_p=p, seed=seed)
 
 
@@ -171,31 +174,30 @@ def design_to_csv(design: TestDesign) -> str:
 
 
 def design_from_text(text: str) -> TestDesign:
-    """Parse either the JSON or the CSV design serialization."""
+    """Parse either the JSON or the CSV design serialization; a declared
+    ``t`` or ``n`` that disagrees with the matrix shape is a ValueError."""
     text = text.strip()
+    kinds = {"p": float, "seed": int, "t": int, "n": int}
     if text.startswith("{"):
         obj = json.loads(text)
         if "matrix" not in obj:
             raise ValueError("design JSON has no 'matrix'")
-        hints = get_type_hints(TestDesign)
         matrix = check_json_field("design matrix", obj["matrix"], Tuple[Tuple[int, ...], ...])
-        p = check_json_field("design p", obj.get("p"), hints["bernoulli_p"])
-        seed = check_json_field("design seed", obj.get("seed"), hints["seed"])
-        return TestDesign(np.array(matrix), bernoulli_p=None if p is None else float(p),
-                          seed=seed)
-    p = None
-    seed = None
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if token.startswith("p=") and token[2:]:
-                    p = float(token[2:])
-                elif token.startswith("seed=") and token[5:]:
-                    seed = int(token[5:])
-            continue
-        rows.append([int(v) for v in line.split(",")])
-    return TestDesign(np.array(rows), bernoulli_p=p, seed=seed)
+        p, seed, t, n = (check_json_field(f"design {key}", obj.get(key), Optional[kind])
+                         for key, kind in kinds.items())
+    else:
+        header, matrix = {}, []
+        for line in text.splitlines():
+            line = line.strip()
+            if line.startswith("#"):
+                header.update(token.partition("=")[::2] for token in line[1:].split())
+            elif line:
+                matrix.append([int(v) for v in line.split(",")])
+        p, seed, t, n = (kind(v) if (v := header.get(key)) else None
+                         for key, kind in kinds.items())
+    design = TestDesign(np.array(matrix), bernoulli_p=None if p is None else float(p), seed=seed)
+    for key, size in (("t", t), ("n", n)):
+        if size is not None and size != getattr(design, key):
+            raise ValueError(f"design declares {key}={size}, but its matrix has "
+                             f"{key}={getattr(design, key)}")
+    return design

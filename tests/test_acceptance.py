@@ -20,7 +20,7 @@ from gtprior.decoders import (CandidateFamily, DecoderSpec, brute_force_map,
 from gtprior.harness import (DecoderConfig, ExperimentConfig, GraphConfig,
                              report_csv, report_json, run_experiment)
 from gtprior.milp import MilpModel, feasibility_violation, solve_ilp, solve_lp
-from gtprior.prior import (IsingPrior, ItemGraph, _config_chunk, build_grid,
+from gtprior.prior import (IsingPrior, ItemGraph, build_grid, config_chunks,
                            exact_marginals, gibbs_marginal_estimate,
                            log_unnormalized_prob)
 from gtprior.rng import generator
@@ -224,7 +224,7 @@ def test_criterion_9_solver_soundness():
         b = (a @ xr + rng.integers(-2, 3, m)).astype(float) if m else np.zeros(0)
         model = MilpModel.from_dense(c, np.zeros(n), np.ones(n), a, rel, b,
                                      np.ones(n, dtype=bool))
-        points = _config_chunk(n, 0, 1 << n).astype(float)
+        points = np.concatenate([*config_chunks(n, "criterion 9")]).astype(float)
         feasible = points[feasibility_violation(model, points) <= 1e-9]
         best = float((feasible @ c).min()) if len(feasible) else None
         sol = solve_ilp(model)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gtprior.bounds import (BoundQuery, achievability_coefficient,
+from gtprior.bounds import (BoundQuery, RateCurveRow, achievability_coefficient,
                             binary_entropy, converse_coefficient,
                             emit_rate_curves, evaluate, inner_max_objective,
                             log2_n_tau_default, mi_asymptotic, optimal_nu,
-                            rate_curves_csv, rate_limit_at, rate_limits,
-                            _nu_residual)
+                            rate_limit_at, rate_limits, _nu_residual)
+from gtprior.core import records_csv
 
 LN2 = math.log(2.0)
 
@@ -193,20 +193,20 @@ class TestRateCurves:
     def test_single_point_row(self):
         rows = emit_rate_curves([(1.0 - 1e-12, 1.0 - 1e-12)])
         row = rows[0]
-        assert row["nu_star"] == pytest.approx(LN2, abs=1e-5)
-        assert row["rate_s"] == pytest.approx(1.0, abs=1e-5)
-        assert row["rate_nk"] == pytest.approx(1.0 / row["beta"], abs=1e-5)
+        assert row.nu_star == pytest.approx(LN2, abs=1e-5)
+        assert row.rate_s == pytest.approx(1.0, abs=1e-5)
+        assert row.rate_nk == pytest.approx(1.0 / row.beta, abs=1e-5)
 
     def test_monotone_nu_and_rate_nk_floor(self):
         ms = np.linspace(0.1, 1.0, 10)
         rows = emit_rate_curves([(m, m) for m in ms])
-        nus = [r["nu_star"] for r in rows]
+        nus = [r.nu_star for r in rows]
         assert all(a >= b - 1e-9 for a, b in zip(nus, nus[1:]))  # non-increasing
-        assert all(r["rate_nk"] >= 1.0 - 1e-9 for r in rows)
+        assert all(r.rate_nk >= 1.0 - 1e-9 for r in rows)
 
     def test_csv_shape(self):
         rows = emit_rate_curves([(0.5, 0.5), (0.8, 0.8)])
-        text = rate_curves_csv(rows)
+        text = records_csv(RateCurveRow, rows)
         lines = text.strip().splitlines()
         assert lines[0].startswith("alpha_star,beta,m,")
         assert len(lines) == 3

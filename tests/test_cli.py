@@ -148,6 +148,27 @@ class TestDecodeCommand:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("name,text", [
+        ("design.json", json.dumps({"t": 5, "n": 9, "p": 0.5, "matrix": [[0, 1], [1, 1]]})),
+        ("design.csv", "# t=7 n=3 p=0.5 seed=1\n0,1\n1,1\n"),
+    ], ids=["json", "csv"])
+    def test_declared_size_other_than_the_matrix_is_usage_error(self, tmp_path, capsys,
+                                                                 name, text):
+        dpath = tmp_path / name
+        dpath.write_text(text)
+        code, _, err = run(capsys, "decode", "--design", str(dpath),
+                           "--outcomes", "00", "--decoder", "sparsity")
+        assert code == 1
+        assert err.startswith("error: design declares t=")
+
+    def test_csv_format_is_usage_error(self, tmp_path, capsys):
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps({"matrix": [[1, 0]]}))
+        code, out, err = run(capsys, "--format", "csv", "decode", "--design", str(dpath),
+                             "--outcomes", "0", "--decoder", "sparsity")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: decode has no CSV form")
+
     @pytest.mark.parametrize("outcomes", ["[[1]]", "[true, 0]", "[0.7]", "[2]", "2", "0 1"])
     def test_bad_outcomes_are_usage_error(self, tmp_path, capsys, outcomes):
         dpath = tmp_path / "design.json"
@@ -234,6 +255,12 @@ class TestBoundsCommand:
     def test_missing_args(self, capsys):
         code, _, _ = run(capsys, "bounds")
         assert code == 1
+
+    def test_point_query_csv_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "--format", "csv", "bounds", "--alpha-star", "0.1",
+                             "--beta", "0.5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bounds has no CSV form")
 
 
 class TestExperimentCommands:

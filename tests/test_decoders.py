@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gtprior.core import DefectiveSet, DefectivityVector
+from gtprior.core import DefectiveSet, DefectivityVector, approx_distance
 from gtprior.decoders import (CandidateFamily, DecoderSpec, ModelViolationError,
                               brute_force_map, build_model, decode,
                               decoder_spec, info_density,
@@ -511,3 +512,118 @@ class TestThresholdDecoder:
             CandidateFamily.from_members([(0, 1), (0, 1)], n=5)
         with pytest.raises(ValueError):
             CandidateFamily.from_members([(0, 1), (2,)], n=5)
+
+    def test_outcome_count_must_match_the_design(self):
+        fam = self.family()
+        design = bernoulli_design(3, fam.n, 0.3, seed=52)
+        for y in (OutcomeVector((1,)), OutcomeVector((0, 1, 1, 0))):
+            with pytest.raises(ValueError, match="disagree on the test count"):
+                threshold_decode(fam, design, y, d_max=0)
+
+
+# The set-by-set and partition-by-partition forms of N_tau, N~ and the
+# threshold decoder, kept as references for the membership-matrix code.
+def _ref_density_sum(y_arr, hit_eq, tau, p):
+    q = (1.0 - p) ** tau
+    free = ~hit_eq
+    pos = int((free & y_arr).sum())
+    neg = int((free & ~y_arr).sum())
+    total = 0.0
+    if pos:
+        total += pos * (-math.log2(1.0 - q))
+    if neg:
+        total += neg * (-math.log2(q))
+    return total
+
+
+def _ref_n_tau_counts(family):
+    k = family.k
+    counts = np.zeros((len(family.sets), k + 1), dtype=np.int64)
+    for i, si in enumerate(family.sets):
+        for sj in family.sets:
+            counts[i, approx_distance(si, sj)] += 1
+    return counts.max(axis=0)
+
+
+def _ref_n_tilde_max(family, d_max):
+    n, k = family.n, family.k
+    members = [set(s.members) for s in family.sets]
+    best = 0
+    for combo in itertools.combinations(range(n), k):
+        s = set(combo)
+        near = sum(1 for sp in members
+                   if max(len(s - sp), len(sp - s)) <= d_max)
+        best = max(best, near)
+    return best
+
+
+def _ref_threshold_decode(family, design, y, d_max, delta):
+    k = family.k
+    p = design.bernoulli_p
+    n_tau = _ref_n_tau_counts(family)
+    gammas = {}
+    for tau in range(d_max + 1, k + 1):
+        gammas[tau] = (math.log2(k * int(n_tau[tau]) / delta)
+                       if n_tau[tau] > 0 else -math.inf)
+    x = design.matrix
+    y_arr = y.to_numpy().astype(bool)
+    satisfiers = []
+    for s in family.sets:
+        inc = x[:, list(s.members)].astype(bool)
+        consistent = bool((inc.any(axis=1) == y_arr).all())
+        accepted = True
+        for tau in range(d_max + 1, k + 1):
+            gamma = gammas[tau]
+            for dif_pos in itertools.combinations(range(k), tau):
+                if not consistent:
+                    density = -math.inf
+                else:
+                    eq_pos = [i for i in range(k) if i not in dif_pos]
+                    hit_eq = inc[:, eq_pos].any(axis=1)
+                    density = _ref_density_sum(y_arr, hit_eq, tau, p)
+                if not density >= gamma:
+                    accepted = False
+                    break
+            if not accepted:
+                break
+        if accepted:
+            satisfiers.append(s)
+    if len(satisfiers) == 1:
+        return satisfiers[0]
+    return None
+
+
+class TestFamilyAgainstPairwiseReference:
+    """The membership-matrix forms of N_tau, N~ and the threshold decoder
+    against the set-by-set and partition-by-partition forms they replaced."""
+
+    def test_fuzzed_families_match(self):
+        rng = np.random.default_rng(2205_11838)
+        outcomes = {"set": 0, "none": 0, "consistent": 0, "inconsistent": 0}
+        for trial in range(320):
+            n = int(rng.integers(4, 12))
+            k = int(rng.integers(1, min(6, n - 1) + 1))
+            combos = list(itertools.combinations(range(n), k))
+            size = int(rng.integers(1, min(14, len(combos)) + 1))
+            pick = rng.choice(len(combos), size=size, replace=False)
+            fam = CandidateFamily.from_members([combos[i] for i in pick], n)
+            assert n_tau_counts(fam).tolist() == _ref_n_tau_counts(fam).tolist()
+            design = bernoulli_design(int(rng.integers(0, 40)), n,
+                                      float(rng.uniform(0.03, 0.6)),
+                                      seed=int(rng.integers(2**31)))
+            truth = fam.sets[int(rng.integers(size))]
+            y = run_tests(design, truth.to_vector(), NoiseSpec())
+            ys = [y]
+            if design.t:
+                flip = int(rng.integers(design.t))
+                ys.append(OutcomeVector(tuple(v ^ (i == flip) for i, v in enumerate(y.y))))
+            for d_max in range(k + 1):
+                assert n_tilde_max(fam, d_max) == _ref_n_tilde_max(fam, d_max)
+                delta = (1e-3, 0.01, 0.3, 2.0)[(trial + d_max) % 4]
+                for obs in ys:
+                    got = threshold_decode(fam, design, obs, d_max, delta)
+                    assert got == _ref_threshold_decode(fam, design, obs, d_max, delta)
+                    outcomes["set" if got else "none"] += 1
+                    consistent = obs == y
+                    outcomes["consistent" if consistent else "inconsistent"] += 1
+        assert min(outcomes.values()) > 100, outcomes

@@ -375,8 +375,9 @@ class TestConfigIO:
         ({"rho": [-0.1]}, r"rho must lie in \[0, 0.5\)"),
         ({"rho": [float("nan")]}, r"rho must lie in \[0, 0.5\)"),
         ({"truth_sweeps": 0}, r"truth_sweeps must be >= 1"),
+        ({"decoders": [{"family": "bogus"}]}, r"unknown decoder family 'bogus'"),
     ], ids=["tests-negative", "p-above-1", "p-negative", "p-nan", "rho-0.7",
-            "rho-negative", "rho-nan", "truth-sweeps-0"])
+            "rho-negative", "rho-nan", "truth-sweeps-0", "decoder-family-bogus"])
     def test_out_of_range_value_is_rejected_before_any_work(self, monkeypatch, edit,
                                                              message):
         calls = []

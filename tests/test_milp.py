@@ -4,7 +4,7 @@ import pytest
 from gtprior import milp
 from gtprior.milp import (MilpModel, NumericalError, dump_model,
                           feasibility_violation, solve_ilp, solve_lp)
-from gtprior.prior import _config_chunk
+from gtprior.prior import config_chunks
 from helpers import highs
 
 
@@ -35,7 +35,7 @@ def random_model(rng, n_max=16, integer=True):
 
 def enumerate_optimum(m):
     """Brute-force 0/1 optimum; None when infeasible."""
-    points = _config_chunk(m.num_vars, 0, 1 << m.num_vars).astype(float)
+    points = np.concatenate([*config_chunks(m.num_vars, "enumerate_optimum")]).astype(float)
     feasible = points[feasibility_violation(m, points) <= 1e-9]
     if not len(feasible):
         return None

@@ -69,6 +69,18 @@ class TestBernoulliDesign:
         assert traced_peak(bernoulli_design, 500, 784, 0.05, 3) < 2 * 392_000
 
 
+    def test_design_keeps_its_own_matrix(self):
+        a = np.zeros((2, 2), np.uint8)
+        d = TestDesign(a)
+        a[0, 0] = 1  # the caller's array stays writable ...
+        assert d.matrix[0, 0] == 0  # ... and the write does not reach the design
+        view = a.view()
+        view.flags.writeable = False  # read-only, but its base is not
+        d = TestDesign(view)
+        a[1, 1] = 1
+        assert d.matrix.tolist() == [[1, 0], [0, 0]] and not d.matrix.flags.writeable
+
+
 class TestRunTests:
     def test_all_zero_truth(self):
         d = bernoulli_design(6, 5, 0.5, seed=3)
@@ -235,3 +247,17 @@ class TestDesignSerialization:
     def test_design_text_rejects_entries_other_than_0_or_1(self, text):
         with pytest.raises(ValueError):
             design_from_text(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"t": 5, "n": 9, "p": 0.5, "seed": 1, "matrix": [[0, 1], [1, 1]]}',
+        '{"t": 2, "n": 3, "matrix": [[0, 1], [1, 1]]}',
+        "# t=7 n=3 p=0.5 seed=1 rng=numpy:PCG64\n0,1\n1,1\n",
+        "# t=2 n=1\n0,1\n1,1\n",
+    ], ids=["json-t-and-n", "json-n", "csv-t-and-n", "csv-n"])
+    def test_declared_size_must_match_the_matrix(self, text):
+        with pytest.raises(ValueError, match="design declares"):
+            design_from_text(text)
+
+    def test_declared_size_is_optional(self):
+        for text in ('{"matrix": [[0, 1], [1, 1]]}', "0,1\n1,1\n", "# p=0.5\n0,1\n1,1\n"):
+            assert design_from_text(text).matrix.tolist() == [[0, 1], [1, 1]]
