@@ -16,12 +16,11 @@ from typing import Optional
 from . import bounds as bounds_mod
 from .core import records_csv
 from .decoders import decode, decoder_spec
-from .harness import (PRESETS, ExperimentConfig, blocks_csv, blocks_json, emit,
-                      render_report, run_experiment, run_graph_mismatch,
-                      run_lambda_mismatch)
+from .harness import (GRAPH_FIELDS, PRESETS, ExperimentConfig, GraphConfig,
+                      blocks_csv, blocks_json, emit, render_report, run_experiment,
+                      run_graph_mismatch, run_lambda_mismatch)
 from .milp import NumericalError
-from .prior import (IsingPrior, build_block, build_grid, gibbs_sample,
-                    load_edge_list, subsample_vertices)
+from .prior import IsingPrior, gibbs_sample
 from .rng import RNG_ID
 from .testing import (OutcomeVector, bernoulli_design, design_from_text,
                       design_to_csv, design_to_json)
@@ -44,19 +43,30 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _graph_from_args(args):
-    if args.subsample is not None and not args.edge_list:
+def _given(args, dests) -> list:
+    """The flags, as typed, of the ``dests`` that ``args`` sets."""
+    return ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None]
+
+
+def _prior_from_args(args) -> IsingPrior:
+    """The uniform Ising prior of --lam/--phi on the graph flags' graph, built
+    as a config's: the flags' dests are the kinds of GRAPH_FIELDS."""
+    if args.subsample is not None and args.edge_list is None:
         raise UsageError("--subsample needs --edge-list")
-    if args.grid:
-        return build_grid(args.grid[0], args.grid[1])
-    if args.block:
-        return build_block(*args.block)
-    if args.edge_list:
-        g = load_edge_list(args.edge_list)
-        if args.subsample is not None:
-            g = subsample_vertices(g, args.subsample, args.seed)
-        return g
-    raise UsageError("specify a graph via --grid, --block, or --edge-list")
+    kind = next((kind for kind in GRAPH_FIELDS if getattr(args, kind) is not None), None)
+    if kind is None or args.lam is None or args.phi is None:
+        raise UsageError("an Ising prior needs --lam, --phi and --grid, --block or --edge-list")
+    values = (args.edge_list, args.subsample) if kind == "edge_list" else getattr(args, kind)
+    graph = GraphConfig(kind, **dict(zip(GRAPH_FIELDS[kind], values))).build(args.seed)
+    return IsingPrior.uniform(graph, args.lam, args.phi)
+
+
+def _numbers(text: str) -> list:
+    """A non-empty comma-separated list of numbers; empty items are skipped."""
+    values = [float(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, not {text!r}")
+    return values
 
 
 def _add_graph_flags(sub):
@@ -111,30 +121,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--grid", type=str, default=None,
+    p.add_argument("--grid", type=_numbers, default=None,
                    help="comma-separated m values for rate-curve rows")
 
     for name in ("experiment", "mismatch-graph", "mismatch-lambda"):
         p = sub.add_parser(name)
         p.set_defaults(run=_cmd_experiment if name == "experiment" else _cmd_mismatch)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--preset", type=str, default=None,
-                       choices=sorted(PRESETS))
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", type=str)
+        source.add_argument("--preset", choices=sorted(PRESETS))
         if name == "experiment":
             p.add_argument("--dump-trials", action="store_true")
         if name == "mismatch-graph":
-            p.add_argument("--fractions", type=str, required=True)
+            p.add_argument("--fractions", type=_numbers, required=True)
         if name == "mismatch-lambda":
-            p.add_argument("--lambdas", type=str, required=True)
+            p.add_argument("--lambdas", type=_numbers, required=True)
     return parser
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        return ExperimentConfig.from_json_file(args.config)
-    if args.preset:
-        return ExperimentConfig.from_dict(PRESETS[args.preset])
-    raise UsageError("supply --config FILE or --preset NAME")
+    return (ExperimentConfig.from_dict(PRESETS[args.preset]) if args.preset
+            else ExperimentConfig.from_json_file(args.config))
 
 
 def _cmd_design(args) -> None:
@@ -145,9 +152,7 @@ def _cmd_design(args) -> None:
 
 
 def _cmd_sample_prior(args) -> None:
-    graph = _graph_from_args(args)
-    prior = IsingPrior.uniform(graph, args.lam, args.phi)
-    u = gibbs_sample(prior, args.sweeps, args.seed)
+    u = gibbs_sample(_prior_from_args(args), args.sweeps, args.seed)
     if args.format == "csv":
         _write(u.to_string() + "\n", args.out)
     else:
@@ -167,26 +172,22 @@ def _cmd_decode(args) -> None:
     with open(args.design, "r", encoding="utf-8") as fh:
         design = design_from_text(fh.read())
     y = _read_outcomes(args.outcomes)
-    prior = None
     family = args.decoder.replace("-", "_")
-    if family == "ising_map":
-        graph = _graph_from_args(args)
-        if args.lam is None or args.phi is None:
-            raise UsageError("ising-map decoding requires --lam and --phi")
-        prior = IsingPrior.uniform(graph, args.lam, args.phi)
-    elif any(getattr(args, name) is not None
-             for name in ("grid", "block", "edge_list", "subsample", "lam", "phi")):
-        raise UsageError("sparsity decoding takes no --grid/--block/--edge-list/"
-                         "--subsample/--lam/--phi")
+    prior = _prior_from_args(args) if family == "ising_map" else None
+    given = _given(args, (*GRAPH_FIELDS, "subsample", "lam", "phi"))
+    if prior is None and given:
+        raise UsageError(f"sparsity decoding takes no {'/'.join(given)}")
     spec = decoder_spec(family, args.relaxed, args.rho, args.eta, prior)
     result = decode(spec, design, y)
     _write(json.dumps(result.to_json_dict(), indent=2) + "\n", args.out)
 
 
 def _cmd_bounds(args) -> None:
-    if args.grid:
-        ms = [float(v) for v in args.grid.split(",") if v]
-        rows = bounds_mod.emit_rate_curves([(m, m) for m in ms])
+    point = _given(args, ("alpha_star", "beta", "nu", "n", "k"))
+    if args.grid is not None:
+        if point:
+            raise UsageError(f"bounds --grid takes no {'/'.join(point)}")
+        rows = bounds_mod.emit_rate_curves([(m, m) for m in args.grid])
         if args.format == "csv":
             _write(records_csv(bounds_mod.RateCurveRow, rows), args.out)
         else:
@@ -203,8 +204,7 @@ def _cmd_bounds(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
-    config = _load_config(args)
-    report = run_experiment(config)
+    report = run_experiment(_load_config(args))
     if args.out:
         emit(report, args.format, args.out, include_trials=args.dump_trials)
     else:
@@ -212,15 +212,10 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_mismatch(args) -> None:
-    config = _load_config(args)
     if args.command == "mismatch-graph":
-        values = [float(v) for v in args.fractions.split(",") if v]
-        blocks = run_graph_mismatch(config, values)
-        label = "fraction"
+        blocks, label = run_graph_mismatch(_load_config(args), args.fractions), "fraction"
     else:
-        values = [float(v) for v in args.lambdas.split(",") if v]
-        blocks = run_lambda_mismatch(config, values)
-        label = "lambda"
+        blocks, label = run_lambda_mismatch(_load_config(args), args.lambdas), "lambda"
     text = blocks_csv(blocks, label) if args.format == "csv" else \
         blocks_json(blocks, label)
     _write(text, args.out)
@@ -231,7 +226,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.format == "csv" and (args.command == "decode"
-                                     or (args.command == "bounds" and not args.grid)):
+                                     or (args.command == "bounds" and args.grid is None)):
             raise UsageError(f"{args.command} has no CSV form; use --format json")
         args.run(args)
     except NumericalError as exc:

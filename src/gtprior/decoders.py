@@ -162,10 +162,10 @@ class CandidateFamily:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Outcome of a decode: the estimate (None on failure), the model
-    objective at the optimum, and solve diagnostics, among them the model's
-    shape as built and after the solver's presolve and the dual simplex
-    iterations over every LP solved."""
+    """Outcome of a decode: the estimate (None when the solve found no
+    point), the model objective at the optimum, and solve diagnostics, among
+    them the model's shape as built and after the solver's presolve and the
+    dual simplex iterations over every LP solved."""
 
     estimate: Optional[DefectivityVector]
     objective_value: Optional[float]
@@ -179,7 +179,8 @@ class DecodeResult:
 
     @property
     def failed(self) -> bool:
-        return self.estimate is None
+        """True unless the solve was optimal, even if it kept an incumbent."""
+        return self.solver_status != "optimal"
 
     def to_json_dict(self) -> dict:
         return {

@@ -42,7 +42,8 @@ from .testing import NoiseSpec, bernoulli_design, run_tests
 
 
 # Each graph kind's fields, in order: its JSON keys after "kind", its builder's args.
-_GRAPH_FIELDS = {
+# The kinds are also the argparse dests of the CLI's graph flags.
+GRAPH_FIELDS = {
     "grid": ("rows", "cols"),
     "block": ("blocks_r", "blocks_c", "block_rows", "block_cols"),
     "edge_list": ("path", "subsample"),
@@ -66,10 +67,10 @@ class GraphConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.kind not in _GRAPH_FIELDS:
+        if self.kind not in GRAPH_FIELDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
         stray = [f.name for f in fields(self)[1:]  # after kind
-                 if f.name not in _GRAPH_FIELDS[self.kind]
+                 if f.name not in GRAPH_FIELDS[self.kind]
                  and getattr(self, f.name) != f.default]
         if stray:
             raise ValueError(f"GraphConfig: a {self.kind} graph takes no {stray}")
@@ -82,11 +83,11 @@ class GraphConfig:
                                        derive_seed(base_seed, "subsample"))
             return g
         builder = build_grid if self.kind == "grid" else build_block
-        return builder(*(getattr(self, name) for name in _GRAPH_FIELDS[self.kind]))
+        return builder(*(getattr(self, name) for name in GRAPH_FIELDS[self.kind]))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind,
-                **{name: getattr(self, name) for name in _GRAPH_FIELDS[self.kind]}}
+                **{name: getattr(self, name) for name in GRAPH_FIELDS[self.kind]}}
 
 
 @dataclass(frozen=True)
@@ -280,14 +281,14 @@ def run_experiment(config: ExperimentConfig,
                         y = run_tests(design, truth, spec.noise,
                                       derive_seed(config.base_seed, "noise", trial, rho))
                     result = decode(spec, design, y)
-                    if result.solver_status == "optimal":
+                    if result.failed:
+                        scores = (0, 0, 1.0, 1.0)
+                        status = f"failed:{result.solver_status}"
+                    else:
                         rep = count_fp_fn(truth, result.estimate)
                         # rates are None when the truth has no defectives
                         scores = rep.fp, rep.fn, rep.fp_rate or 0.0, rep.fn_rate or 0.0
                         status = "ok"
-                    else:
-                        scores = (0, 0, 1.0, 1.0)
-                        status = f"failed:{result.solver_status}"
                     keyed.append(((ti, ri, di, trial), TrialRecord(
                         t, rho, dec.family, dec.relaxed, trial, *scores,
                         time_s=result.wall_time, status=status, design_seed=dseed)))

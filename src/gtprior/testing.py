@@ -195,7 +195,9 @@ def design_from_text(text: str) -> TestDesign:
                 matrix.append([int(v) for v in line.split(",")])
         p, seed, t, n = (kind(v) if (v := header.get(key)) else None
                          for key, kind in kinds.items())
-    design = TestDesign(np.array(matrix), bernoulli_p=None if p is None else float(p), seed=seed)
+    # An empty matrix reads back as np.array([]), 1-D, so it takes the declared n.
+    mat = np.array(matrix) if matrix or n is None else np.zeros((0, n), np.uint8)
+    design = TestDesign(mat, bernoulli_p=None if p is None else float(p), seed=seed)
     for key, size in (("t", t), ("n", n)):
         if size is not None and size != getattr(design, key):
             raise ValueError(f"design declares {key}={size}, but its matrix has "

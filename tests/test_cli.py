@@ -10,6 +10,8 @@ import pytest
 
 import gtprior
 from gtprior.cli import main
+from gtprior.harness import GraphConfig
+from gtprior.prior import IsingPrior, gibbs_sample
 from gtprior.testing import design_from_text
 
 
@@ -78,6 +80,19 @@ class TestSamplePriorCommand:
                            "--subsample", "2", "--lam", "0.5", "--phi", "0.006")
         assert code == 1
         assert err.startswith("error:") and "--edge-list" in err
+
+    def test_edge_list_subsample_builds_the_config_graph(self, tmp_path, capsys):
+        # The flags build a config's graph: --subsample draws from
+        # derive_seed(--seed, "subsample"), the chain from --seed itself.
+        path = tmp_path / "graph.txt"
+        path.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n1 4\n")
+        code, out, _ = run(capsys, "--seed", "1", "sample-prior", "--edge-list",
+                           str(path), "--subsample", "4", "--lam", "0.5",
+                           "--phi", "-0.2", "--sweeps", "20")
+        assert code == 0
+        graph = GraphConfig("edge_list", path=str(path), subsample=4).build(1)
+        u = gibbs_sample(IsingPrior.uniform(graph, 0.5, -0.2), 20, 1)
+        assert json.loads(out)["bits"] == u.to_string()
 
 
 class TestDecodeCommand:
@@ -256,6 +271,12 @@ class TestBoundsCommand:
         code, _, _ = run(capsys, "bounds")
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--alpha-star", "--beta", "--nu", "--n", "--k"])
+    def test_grid_with_point_flag_is_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "bounds", "--grid", "0.5", flag, "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and flag in err
+
     def test_point_query_csv_is_usage_error(self, capsys):
         code, out, err = run(capsys, "--format", "csv", "bounds", "--alpha-star", "0.1",
                              "--beta", "0.5")
@@ -349,6 +370,23 @@ class TestExperimentCommands:
     def test_config_required(self, capsys):
         code, _, _ = run(capsys, "experiment")
         assert code == 1
+
+    def test_config_and_preset_together_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "experiment", "--preset", "ci-grid-10",
+                             "--config", self.config_file(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "not allowed with" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["mismatch-graph", "--preset", "ci-grid-10", "--fractions", ","],
+        ["mismatch-lambda", "--preset", "ci-grid-10", "--lambdas", ","],
+        ["--format", "csv", "bounds", "--grid", ","],
+        ["bounds", "--grid", ""],
+    ], ids=["fractions", "lambdas", "bounds-grid", "bounds-grid-blank"])
+    def test_empty_list_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "comma-separated numbers" in err
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "experiment", "--config", "/nonexistent.json")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gtprior.core import DefectiveSet, DefectivityVector, approx_distance
-from gtprior.decoders import (CandidateFamily, DecoderSpec, ModelViolationError,
-                              brute_force_map, build_model, decode,
+from gtprior.decoders import (CandidateFamily, DecodeResult, DecoderSpec,
+                              ModelViolationError, brute_force_map, build_model, decode,
                               decoder_spec, info_density,
                               ising_objective_offset, map_flip_penalty,
                               map_score, n_tau_counts, n_tilde_max,
@@ -307,6 +307,13 @@ class TestDecode:
         res = decode(DecoderSpec("sparsity"), design, y)
         assert res.failed and res.estimate is None
         assert res.solver_status == "infeasible"
+
+    def test_node_limit_with_incumbent_is_failed(self):
+        # A node limit that kept an incumbent fails, as run_experiment counts it.
+        spec = DecoderSpec("sparsity")
+        kept = DecodeResult(vec(0, 1), 1.0, "node_limit", 7, 0.0, spec)
+        assert kept.failed and kept.estimate is not None
+        assert not DecodeResult(vec(0, 1), 1.0, "optimal", 1, 0.0, spec).failed
 
     def test_result_serialization(self):
         design = design_of([[1, 0], [0, 1]])

@@ -189,6 +189,12 @@ class TestDesignSerialization:
         assert (back.matrix == d.matrix).all()
         assert back.bernoulli_p == d.bernoulli_p
 
+    @pytest.mark.parametrize("write", [design_to_json, design_to_csv], ids=["json", "csv"])
+    def test_design_with_no_tests_round_trips(self, write):
+        back = design_from_text(write(bernoulli_design(0, 3, 0.5, seed=1)))
+        assert back.matrix.shape == (0, 3)
+        assert (back.bernoulli_p, back.seed) == (0.5, 1)
+
     def test_outcome_parse(self):
         assert OutcomeVector.parse("0110").y == (0, 1, 1, 0)
         assert OutcomeVector.parse("[0, 1]").y == (0, 1)
