@@ -153,12 +153,9 @@ def _cmd_design(args) -> None:
 
 def _cmd_sample_prior(args) -> None:
     u = gibbs_sample(_prior_from_args(args), args.sweeps, args.seed)
-    if args.format == "csv":
-        _write(u.to_string() + "\n", args.out)
-    else:
-        _write(json.dumps({"bits": u.to_string(), "n": u.n, "k": u.k,
-                           "sweeps": args.sweeps, "seed": args.seed,
-                           "rng": RNG_ID}) + "\n", args.out)
+    _write(u.to_string() + "\n" if args.format == "csv" else
+           json.dumps({"bits": u.to_string(), "n": u.n, "k": u.k, "sweeps": args.sweeps,
+                       "seed": args.seed, "rng": RNG_ID}) + "\n", args.out)
 
 
 def _read_outcomes(token: str) -> OutcomeVector:
@@ -188,10 +185,8 @@ def _cmd_bounds(args) -> None:
         if point:
             raise UsageError(f"bounds --grid takes no {'/'.join(point)}")
         rows = bounds_mod.emit_rate_curves([(m, m) for m in args.grid])
-        if args.format == "csv":
-            _write(records_csv(bounds_mod.RateCurveRow, rows), args.out)
-        else:
-            _write(json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n", args.out)
+        _write(records_csv(bounds_mod.RateCurveRow, rows) if args.format == "csv" else
+               json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n", args.out)
         return
     if args.alpha_star is None or args.beta is None:
         raise UsageError("supply --alpha-star and --beta (or --grid)")

@@ -63,6 +63,12 @@ def check_family(family: str) -> None:
         raise ValueError(f"unknown decoder family {family!r}")
 
 
+def check_eta(eta: Optional[float]) -> None:
+    """Raise ValueError unless ``eta`` is None or a finite flip penalty > 0."""
+    if eta is not None and not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be a finite flip penalty > 0, got {eta}")
+
+
 def map_flip_penalty(rho: float) -> float:
     """MAP flip-penalty weight log((1-rho)/rho) for symmetric noise."""
     if not (0.0 < rho < 0.5):
@@ -89,11 +95,11 @@ class DecoderSpec:
 
     def __post_init__(self):
         check_family(self.family)
+        check_eta(self.eta)
         if self.family == "ising_map" and self.prior is None:
             raise ValueError("ising_map decoding requires a prior")
-        if self.noise.is_noisy:
-            if self.eta is None or not math.isfinite(self.eta) or self.eta <= 0:
-                raise ValueError("noisy decoding requires a finite eta > 0")
+        if self.noise.is_noisy and self.eta is None:
+            raise ValueError("noisy decoding requires a finite eta > 0")
 
 
 def decoder_spec(family: str, relaxed: bool, rho: float, eta: Optional[float],

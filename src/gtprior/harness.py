@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .core import (DefectivityVector, check_fields, check_json_field, count_fp_fn,
                    record_columns, records_csv)
-from .decoders import check_family, decode, decoder_spec
+from .decoders import check_eta, check_family, decode, decoder_spec
 from .prior import (IsingPrior, ItemGraph, build_block, build_grid,
                     gibbs_sample, load_edge_list, perturb_edges,
                     subsample_vertices)
@@ -104,6 +104,9 @@ class DecoderConfig:
     def __post_init__(self):
         check_fields(self)
         check_family(self.family)
+        check_eta(self.eta)
+        if not all(math.isfinite(v) for v in (self.lam, self.phi) if v is not None):
+            raise ValueError(f"DecoderConfig lam/phi must be finite, got {self.lam}/{self.phi}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -153,6 +156,10 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
+# Both families, exact and relaxed: the decoders of the full-scale protocols.
+_EXACT_AND_RELAXED = [{"family": family, "relaxed": relaxed}
+                      for family in ("sparsity", "ising_map") for relaxed in (False, True)]
+
 PRESETS = {
     # Full-scale protocols (hours with the bundled dense solver; provided
     # for completeness, not CI).
@@ -161,12 +168,7 @@ PRESETS = {
         "lam": 0.5, "phi": 0.006, "truth_sweeps": 1000,
         "tests": [100, 200, 300, 400, 500], "p": None,
         "rho": [0.0, 0.01], "trials": 50, "base_seed": 1,
-        "decoders": [
-            {"family": "sparsity", "relaxed": False},
-            {"family": "sparsity", "relaxed": True},
-            {"family": "ising_map", "relaxed": False},
-            {"family": "ising_map", "relaxed": True},
-        ],
+        "decoders": _EXACT_AND_RELAXED,
     },
     "full-block-28": {
         "graph": {"kind": "block", "blocks_r": 4, "blocks_c": 4,
@@ -174,12 +176,7 @@ PRESETS = {
         "lam": 0.6, "phi": 0.035, "truth_sweeps": 1000,
         "tests": [100, 200, 300, 400, 500], "p": None,
         "rho": [0.0, 0.01], "trials": 50, "base_seed": 1,
-        "decoders": [
-            {"family": "sparsity", "relaxed": False},
-            {"family": "sparsity", "relaxed": True},
-            {"family": "ising_map", "relaxed": False},
-            {"family": "ising_map", "relaxed": True},
-        ],
+        "decoders": _EXACT_AND_RELAXED,
     },
     # Desk-scale default.
     "ci-grid-10": {
@@ -356,8 +353,9 @@ def trials_csv(report: ExperimentReport) -> str:
     return records_csv(TrialRecord, report.trial_records)
 
 
-def report_json(report: ExperimentReport, include_trials: bool = False,
-                include_times: bool = True) -> str:
+def _report_body(report: ExperimentReport, include_trials: bool = False,
+                 include_times: bool = True) -> dict:
+    """The JSON report as a dict: rows, metadata and, if asked, trials."""
     def dicts(record_type, records):
         cols = record_columns(record_type, include_times)
         return [{c: getattr(r, c) for c in cols} for r in records]
@@ -365,7 +363,12 @@ def report_json(report: ExperimentReport, include_trials: bool = False,
     body = {"rows": dicts(AggregateRow, report.rows), "metadata": report.metadata}
     if include_trials:
         body["trials"] = dicts(TrialRecord, report.trial_records)
-    return json.dumps(body, indent=2) + "\n"
+    return body
+
+
+def report_json(report: ExperimentReport, include_trials: bool = False,
+                include_times: bool = True) -> str:
+    return json.dumps(_report_body(report, include_trials, include_times), indent=2) + "\n"
 
 
 def render_report(report: ExperimentReport, fmt: str,
@@ -396,6 +399,5 @@ def blocks_csv(blocks: Sequence[Tuple[float, ExperimentReport]], label: str) -> 
 
 
 def blocks_json(blocks: Sequence[Tuple[float, ExperimentReport]], label: str) -> str:
-    out = [{label: value, "report": json.loads(report_json(report))}
-           for value, report in blocks]
+    out = [{label: value, "report": _report_body(report)} for value, report in blocks]
     return json.dumps(out, indent=2) + "\n"

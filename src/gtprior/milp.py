@@ -9,11 +9,9 @@ Implementation notes and defaults:
 
 * A model holds its constraint matrix only as CSR (compressed sparse row)
   arrays; see :class:`MilpModel`.  The presolve, the feasibility re-check,
-  the infeasibility certificate and the slack basis's tableau all read
-  its nonzeros.  ``MilpModel.a_matrix`` builds the dense matrix on each
-  access, for oracles and tests.  In the solver only a kept basis (below)
-  needs dense rows: one dense copy of the presolved model is built per
-  branch-and-bound search, at its first kept basis.
+  the infeasibility certificate and every basis's tableau, slack or kept
+  (below), read its nonzeros; ``MilpModel.a_matrix`` builds the dense
+  matrix on each access, for oracles and tests only.
 * One bounded dual simplex solves every LP (Koberstein, *The dual simplex
   method*, 2005, ch. 3).  Each row gets a slack (``A x + s = b``, with
   ``s >= 0`` for ``<=``, ``s <= 0`` for ``>=`` and ``s = 0`` for ``==``),
@@ -176,17 +174,12 @@ class MilpModel:
             raise ValueError("objective and rhs must be finite")
         if (lo < 0).any() or (lo > hi).any():
             raise ValueError("need 0 <= lo <= hi for every variable")
-        for arr in (c, lo, hi, indptr, indices, data, b, mask):
-            arr.flags.writeable = False
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "data", data)
         object.__setattr__(self, "relations", rel)
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "integer_mask", mask)
+        for name, arr in (("objective", c), ("lower", lo), ("upper", hi), ("indptr", indptr),
+                          ("indices", indices), ("data", data), ("rhs", b),
+                          ("integer_mask", mask)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_dense(cls, objective, lower, upper, a_matrix, relations, rhs,
@@ -219,18 +212,22 @@ class MilpModel:
 
     @property
     def a_matrix(self) -> np.ndarray:
-        """The dense constraint matrix, a read-only array built anew on each
-        access."""
-        a = _dense(self)
+        """A new read-only dense constraint matrix, for oracles and tests."""
+        a = np.zeros((self.num_rows, self.num_vars))
+        a[self.row_ids(), self.indices] = self.data
         a.flags.writeable = False
         return a
 
 
-def _dense(model: MilpModel) -> np.ndarray:
-    """``model``'s constraint matrix as a new dense array: one ``np.zeros``
-    and one scatter of the nonzeros."""
-    a = np.zeros((model.num_rows, model.num_vars))
-    a[model.row_ids(), model.indices] = model.data
+def _block(model: MilpModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``model``'s constraint matrix at ``np.ix_(rows, cols)`` as a new dense
+    array: one ``np.zeros`` and one scatter of the nonzeros it holds."""
+    at_row, at_col = np.full(model.num_rows, -1), np.full(model.num_vars, -1)
+    at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
+    i, j = at_row[model.row_ids()], at_col[model.indices]
+    keep = (i >= 0) & (j >= 0)
+    a = np.zeros((rows.size, cols.size))
+    a[i[keep], j[keep]] = model.data[keep]
     return a
 
 
@@ -360,16 +357,14 @@ class _Tableau:
     Each row gets one slack, ``A x + s = b``, with ``s`` in ``[0, inf)`` for
     ``<=``, ``(-inf, 0]`` for ``>=`` and ``[0, 0]`` for ``==``, so the slack
     columns start as the identity.  ``start`` is a ``(basis, at_upper)``
-    pair kept from an earlier solve (the slack basis when None); a kept
-    basis is refactored from the original rows, given as the dense matrix
-    ``dense``, inverting only its block of basic structural columns.  The
-    slack basis fills its tableau from the model's nonzeros.
-    Every boxed nonbasic column whose reduced cost is not zero rests at the
-    bound its sign picks, so the slack basis, and a basis that was optimal
-    at other bounds, are dual feasible.
+    pair kept from an earlier solve, or None for the slack basis; either is
+    factored on one path from the model's CSR arrays.  Every boxed nonbasic
+    column whose reduced cost is not zero rests at the bound its sign picks,
+    so the slack basis, and a basis that was optimal at other bounds, are
+    dual feasible.
     """
 
-    def __init__(self, model: MilpModel, lo, hi, start=None, dense=None):
+    def __init__(self, model: MilpModel, lo, hi, start=None):
         b = model.rhs
         m, n = model.num_rows, model.num_vars
         rel = np.asarray(model.relations, dtype=str)
@@ -377,34 +372,39 @@ class _Tableau:
         self.lo = np.concatenate([lo, np.where(rel == ">=", -np.inf, 0.0)])
         self.hi = np.concatenate([hi, np.where(rel == "<=", np.inf, 0.0)])
         self.pivots = 0
+        if start is None:
+            start = n + np.arange(m), np.zeros(n + m, dtype=bool)
+        self.basis, at_upper = start[0].copy(), start[1].copy()
+        # With the basic slacks' rows t and the others r, the basis is
+        # [[A_rS, 0], [A_tS, I]] up to order, so its inverse needs only the
+        # inverse of A_rS, whose size is the number of basic structural
+        # columns S (none for the slack basis), and only rows r are stored
+        # dense.  Rows t enter A^T B^-1 through unit rows of the inverse, a
+        # scatter of their nonzeros.
+        pos_s, pos_t = np.flatnonzero(self.basis < n), np.flatnonzero(self.basis >= n)
+        rows_t = self.basis[pos_t] - n
+        at_t = np.full(m, -1)  # each row's basic slack's position, or -1
+        at_t[rows_t] = pos_t
+        rows_r = np.flatnonzero(at_t < 0)
+        cols_s = self.basis[pos_s]
+        a_r = _block(model, rows_r, np.arange(n))
+        try:
+            inv_rs = np.linalg.inv(a_r[:, cols_s])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("kept basis is singular") from exc
+        inv_r = np.zeros((rows_r.size, m))  # rows r of the transposed inverse
+        inv_r[:, pos_s] = inv_rs.T
+        inv_r[:, pos_t] = -(_block(model, rows_t, cols_s) @ inv_rs).T
+        del inv_rs  # freed before the tableau is allocated
         # Transposed tableau: tab_t[j, i] is row i, column j, so each column
         # (the entering one, or one the pivot row touches) is contiguous.
         # Its slack rows tab_t[n:] hold the transposed basis inverse.
         self.tab_t = np.zeros((n + m, m))
-        if start is None:
-            self.basis = n + np.arange(m)
-            at_upper = np.zeros(n + m, dtype=bool)
-            self.tab_t[model.indices, model.row_ids()] = model.data
-        else:
-            self.basis, at_upper = start[0].copy(), start[1].copy()
-            # With the basic slacks' rows t and the others r, the basis is
-            # [[A_rS, 0], [A_tS, I]] up to order, so its inverse needs only
-            # the inverse of A_rS, whose size is the number of basic
-            # structural columns S.
-            pos_s = np.flatnonzero(self.basis < n)
-            pos_t = np.flatnonzero(self.basis >= n)
-            rows_t = self.basis[pos_t] - n
-            rows_r = np.setdiff1d(np.arange(m), rows_t)
-            cols_s = self.basis[pos_s]
-            try:
-                inv_rs = np.linalg.inv(dense[np.ix_(rows_r, cols_s)])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("kept basis is singular") from exc
-            inv_t = self.tab_t[n:]
-            inv_t[np.ix_(rows_r, pos_s)] = inv_rs.T
-            inv_t[np.ix_(rows_r, pos_t)] = -(dense[np.ix_(rows_t, cols_s)] @ inv_rs).T
-            inv_t[rows_t, pos_t] = 1.0
-            np.matmul(dense.T, inv_t, out=self.tab_t[:n])
+        self.tab_t[n + rows_r] = inv_r
+        np.matmul(a_r.T, inv_r, out=self.tab_t[:n])
+        slot = at_t[model.row_ids()]
+        in_t = slot >= 0
+        self.tab_t[model.indices[in_t], slot[in_t]] += model.data[in_t]
         self.tab_t[self.basis] = 0.0  # basic columns are exact unit vectors
         self.tab_t[self.basis, np.arange(m)] = 1.0
         beta = b @ self.tab_t[n:]
@@ -764,7 +764,7 @@ def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
     best_x = None
     best_obj = np.inf
     nodes = pivots = 0
-    tab = live = dense = None
+    tab = live = None
     stack = [(model.lower, model.upper, None)]
     while stack:
         if nodes >= node_limit:
@@ -775,9 +775,7 @@ def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
             tab.set_bounds(lo, hi)
         else:
             tab = None  # freed before its successor is built
-            if start is not None and dense is None:
-                dense = _dense(model)  # built once, at the first kept basis
-            tab = _Tableau(model, lo, hi, start, dense)
+            tab = _Tableau(model, lo, hi, start)
         live = None
         sol = _solve_node(tab)
         nodes += 1

@@ -282,10 +282,10 @@ def build_block(blocks_r: int, blocks_c: int, block_rows: int,
 def load_edge_list(path) -> ItemGraph:
     """Parse an ASCII edge list: one "j j'" pair per line, 0-indexed.
 
-    Lines starting with '#' are ignored.  n is 1 + max index unless an
-    optional header line "n <count>" appears.  Duplicate edges are
-    deduplicated silently; self-loops and malformed lines are errors that
-    report the offending line number.
+    Lines starting with '#' are ignored.  n is 1 + max index (0 for an
+    empty file) unless an optional header line "n <count>" appears.
+    Duplicate edges are deduplicated silently; self-loops, malformed lines
+    and a negative count are errors that report the offending line number.
     """
     edges = set()
     declared_n = None
@@ -297,10 +297,9 @@ def load_edge_list(path) -> ItemGraph:
                 continue
             parts = line.split()
             if parts[0] == "n" and len(parts) == 2:
-                try:
-                    declared_n = int(parts[1])
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: bad header {line!r}")
+                if not parts[1].isdigit():  # no sign: a negative count is a bad header
+                    raise ValueError(f"{path}: line {lineno}: bad header {line!r}, need n >= 0")
+                declared_n = int(parts[1])
                 continue
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 'j j\\'', got {line!r}")
@@ -315,8 +314,6 @@ def load_edge_list(path) -> ItemGraph:
             edges.add((min(j, jp), max(j, jp)))
             max_idx = max(max_idx, j, jp)
     n = declared_n if declared_n is not None else max_idx + 1
-    if n < 0:
-        n = 0
     return ItemGraph(n, tuple(sorted(edges)))
 
 
@@ -326,6 +323,8 @@ def subsample_vertices(g: ItemGraph, m: int, seed: int) -> ItemGraph:
     Kept vertices are re-indexed 0..m-1 preserving their sorted original
     order.  Deterministic given seed.
     """
+    if m < 0:
+        raise ValueError(f"the number of vertices kept must be >= 0, got {m}")
     if m > g.n:
         raise ValueError(f"cannot keep {m} of {g.n} vertices")
     gen = generator(seed)

@@ -81,6 +81,19 @@ class TestSamplePriorCommand:
         assert code == 1
         assert err.startswith("error:") and "--edge-list" in err
 
+    @pytest.mark.parametrize("text, flags, message", [
+        ("n -3\n", [], "line 1: bad header 'n -3'"),
+        ("0 1\n1 2\n", ["--subsample", "-1"], "vertices kept must be >= 0"),
+    ], ids=["negative-header", "negative-subsample"])
+    def test_bad_edge_list_graph_is_usage_error(self, tmp_path, capsys, text, flags,
+                                                message):
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "sample-prior", "--edge-list", str(path), *flags,
+                             "--lam", "0.5", "--phi", "0.1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
     def test_edge_list_subsample_builds_the_config_graph(self, tmp_path, capsys):
         # The flags build a config's graph: --subsample draws from
         # derive_seed(--seed, "subsample"), the chain from --seed itself.
@@ -229,6 +242,22 @@ class TestDecodeCommand:
                          "--outcomes", "0000", "--decoder", "sparsity",
                          "--rho", "0.05")
         assert code == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--decoder", "sparsity", "--eta", "-1"],
+        ["--decoder", "sparsity", "--eta", "nan"],
+        ["--decoder", "sparsity", "--eta", "0", "--rho", "0.05"],
+        ["--decoder", "ising-map", "--eta", "-1", "--rho", "0.05", "--grid", "1", "2",
+         "--lam", "0.5", "--phi", "0.1"],
+    ], ids=["sparsity-negative", "sparsity-nan", "sparsity-0-noisy", "ising-map-negative"])
+    def test_bad_flip_penalty_is_usage_error(self, tmp_path, capsys, flags):
+        # Noiseless decoding never reads eta, but a given one is still checked.
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
+        code, out, err = run(capsys, "decode", "--design", str(dpath), "--outcomes", "10",
+                             *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "eta must be a finite flip penalty > 0" in err
 
     @pytest.mark.parametrize("rho", ["-0.2", "nan"])
     def test_noise_level_outside_range_is_usage_error(self, tmp_path, capsys, rho):

@@ -10,7 +10,7 @@ from gtprior.core import DefectivityVector
 from gtprior.decoders import DecodeResult
 from gtprior.harness import (CSV_COLUMNS, AggregateRow, DecoderConfig,
                              ExperimentConfig, ExperimentReport, GraphConfig,
-                             PRESETS, TrialRecord, blocks_csv, emit,
+                             PRESETS, TrialRecord, blocks_csv, blocks_json, emit,
                              report_csv, report_json, run_experiment,
                              run_graph_mismatch, run_lambda_mismatch,
                              sample_truth, trials_csv)
@@ -181,6 +181,18 @@ class TestMismatch:
         blocks = run_lambda_mismatch(small_config(trials=1), [0.4])
         text = blocks_csv(blocks, "lambda")
         assert text.startswith("# lambda=0.4")
+
+    def test_blocks_json_holds_each_report_json(self):
+        # Each block's report is the JSON report_json writes, so the mismatch
+        # JSON is the text it was when it was built by re-parsing that.
+        blocks = run_graph_mismatch(small_config(trials=1), [0.0, 0.5])
+        text = blocks_json(blocks, "fraction")
+        parsed = json.loads(text)
+        assert [b["fraction"] for b in parsed] == [0.0, 0.5]
+        for block, (_, report) in zip(parsed, blocks):
+            assert block["report"] == json.loads(report_json(report))
+        assert text == json.dumps([{"fraction": value, "report": json.loads(report_json(report))}
+                                   for value, report in blocks], indent=2) + "\n"
 
     def trend_config(self):
         return ExperimentConfig(
@@ -376,8 +388,20 @@ class TestConfigIO:
         ({"rho": [float("nan")]}, r"rho must lie in \[0, 0.5\)"),
         ({"truth_sweeps": 0}, r"truth_sweeps must be >= 1"),
         ({"decoders": [{"family": "bogus"}]}, r"unknown decoder family 'bogus'"),
+        ({"decoders": [{"family": "sparsity", "eta": -1.0}]}, r"eta must be a finite"),
+        ({"rho": [0.01], "decoders": [{"family": "sparsity", "eta": -1.0}]},
+         r"eta must be a finite"),
+        ({"rho": [0.01], "decoders": [{"family": "ising_map", "eta": float("nan")}]},
+         r"eta must be a finite"),
+        ({"decoders": [{"family": "ising_map", "eta": 0.0}]}, r"eta must be a finite"),
+        ({"decoders": [{"family": "ising_map", "lam": float("inf")}]},
+         r"DecoderConfig lam/phi must be finite"),
+        ({"decoders": [{"family": "ising_map", "phi": float("nan")}]},
+         r"DecoderConfig lam/phi must be finite"),
     ], ids=["tests-negative", "p-above-1", "p-negative", "p-nan", "rho-0.7",
-            "rho-negative", "rho-nan", "truth-sweeps-0", "decoder-family-bogus"])
+            "rho-negative", "rho-nan", "truth-sweeps-0", "decoder-family-bogus",
+            "decoder-eta-negative", "decoder-eta-negative-noisy", "decoder-eta-nan-noisy",
+            "decoder-eta-0", "decoder-lam-inf", "decoder-phi-nan"])
     def test_out_of_range_value_is_rejected_before_any_work(self, monkeypatch, edit,
                                                              message):
         calls = []

@@ -383,6 +383,87 @@ class TestWarmStarts:
             milp._simplex(tab)
 
 
+class TestTableauConstruction:
+    """The slack basis and every kept basis are built on one path, from the
+    model's CSR arrays only."""
+
+    @staticmethod
+    def fuzzed(rng, trial):
+        """A fuzzed mixed model for an odd ``trial``, else a decoder model."""
+        return fuzzed_mixed_model(rng) if trial % 2 else fuzzed_decoder_model(rng, trial // 2)
+
+    @classmethod
+    def solved_tableaus(cls, rng, count):
+        """Tableaus after a dual simplex run, half on fuzzed mixed models and
+        half on fuzzed decoder models, each after one more run at a branch's
+        bounds when its first ended optimal."""
+        for trial in range(count):
+            m = cls.fuzzed(rng, trial)
+            tab = milp._Tableau(m, m.lower, m.upper)
+            if milp._simplex(tab)[0] == "optimal":
+                yield tab
+                n = m.num_vars
+                j = int(rng.integers(n))
+                lo, hi = tab.lo[:n].copy(), tab.hi[:n].copy()
+                lo[j] = hi[j] = lo[j] if rng.random() < 0.5 else hi[j]
+                tab.set_bounds(lo, hi)
+                milp._simplex(tab)
+            yield tab
+
+    def test_kept_basis_reproduces_the_live_tableau(self):
+        rng = np.random.default_rng(111)
+        kept = 0
+        for live in self.solved_tableaus(rng, 300):
+            m, n = live.model, live.model.num_vars
+            tab = milp._Tableau(m, live.lo[:n], live.hi[:n], live.start())
+            assert np.array_equal(tab.basis, live.basis)
+            # A fixed column may rest at either of its equal bounds.
+            assert np.array_equal(tab._nonbasic_values(), live._nonbasic_values())
+            for name in ("tab_t", "d", "x_b"):
+                assert np.allclose(getattr(tab, name), getattr(live, name), rtol=0, atol=1e-9)
+            kept += bool((live.basis < n).any())
+        assert kept > 200
+
+    def test_slack_basis_is_the_csr_scatter(self):
+        rng = np.random.default_rng(112)
+        for trial in range(200):
+            m = self.fuzzed(rng, trial)
+            n, rows = m.num_vars, m.num_rows
+            want = np.zeros((n + rows, rows))
+            want[m.indices, m.row_ids()] = m.data
+            want[n:] = np.eye(rows)
+            tab = milp._Tableau(m, m.lower, m.upper)
+            assert tab.tab_t.tobytes() == want.tobytes()  # bit for bit, signs of 0 too
+
+    def test_search_never_reads_the_dense_matrix(self, monkeypatch):
+        def no_dense(model):
+            raise AssertionError("the solver read MilpModel.a_matrix")
+
+        kept = []
+
+        class Counting(milp._Tableau):
+            def __init__(self, model, lo, hi, start=None):
+                kept.append(start is not None)
+                super().__init__(model, lo, hi, start)
+
+        monkeypatch.setattr(MilpModel, "a_matrix", property(no_dense))
+        monkeypatch.setattr(milp, "_Tableau", Counting)
+        rng = np.random.default_rng(113)
+        for trial in range(200):
+            m = self.fuzzed(rng, trial)
+            assert solve_ilp(m).status in ("optimal", "infeasible")
+        assert sum(kept) > 25
+        with pytest.raises(AssertionError, match="a_matrix"):
+            m.a_matrix
+
+    def test_singular_kept_basis_raises(self):
+        # Both structural columns basic on rows (1, 1) and (2, 2).
+        m = model([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], ["<=", "<="], [1.0, 2.0])
+        start = np.array([0, 1]), np.zeros(4, dtype=bool)
+        with pytest.raises(NumericalError, match="kept basis is singular"):
+            milp._Tableau(m, m.lower, m.upper, start)
+
+
 def decoder_model(family, matrix, y, rho=0.0, relaxed=False, lam=0.5, phi=0.1,
                   rows=1, eta=1.5):
     """A decoder model of ``family`` for a 0/1 design ``matrix`` and outcomes

@@ -275,6 +275,18 @@ class TestEdgeListIO:
         with pytest.raises(ValueError, match="self-loop"):
             load_edge_list(path)
 
+    @pytest.mark.parametrize("text, line", [("n -3\n", 1), ("# c\nn -1\n0 1\n", 2)])
+    def test_negative_header_reports_its_line(self, tmp_path, text, line):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: bad header"):
+            load_edge_list(path)
+
+    def test_empty_file_has_no_vertices(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("")
+        assert load_edge_list(path) == ItemGraph(0, ())
+
     def test_subsample_identity(self):
         g = build_grid(3, 3)
         h = subsample_vertices(g, g.n, seed=0)
@@ -293,6 +305,10 @@ class TestEdgeListIO:
     def test_subsample_too_many(self):
         with pytest.raises(ValueError):
             subsample_vertices(build_grid(2, 2), 5, seed=0)
+
+    def test_subsample_negative(self):
+        with pytest.raises(ValueError, match="vertices kept must be >= 0, got -1"):
+            subsample_vertices(build_grid(2, 2), -1, seed=0)
 
 
 class TestPerturbEdges:
