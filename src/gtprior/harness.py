@@ -74,6 +74,13 @@ class GraphConfig:
                  and getattr(self, f.name) != f.default]
         if stray:
             raise ValueError(f"GraphConfig: a {self.kind} graph takes no {stray}")
+        dims = [getattr(self, name) for name in GRAPH_FIELDS[self.kind]
+                if self.kind != "edge_list"]
+        if any(v < 1 for v in dims):
+            raise ValueError(f"GraphConfig: {self.kind} dimensions must be >= 1, got {dims}")
+        if self.subsample is not None and self.subsample < 0:
+            raise ValueError("GraphConfig.subsample: the number of vertices kept must "
+                             f"be >= 0, got {self.subsample}")
 
     def build(self, base_seed: int) -> ItemGraph:
         if self.kind == "edge_list":
@@ -131,6 +138,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.truth_sweeps < 1:
             raise ValueError("truth_sweeps must be >= 1")
+        if not (math.isfinite(self.lam) and math.isfinite(self.phi)):
+            raise ValueError(f"lam and phi must be finite, got {self.lam}/{self.phi}")
         if any(t < 0 for t in self.tests):
             raise ValueError(f"tests must be >= 0, got {list(self.tests)}")
         if self.p is not None and not (0.0 <= self.p <= 1.0):

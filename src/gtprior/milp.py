@@ -8,89 +8,74 @@ optional 0/1 integrality marks.
 Implementation notes and defaults:
 
 * A model holds its constraint matrix only as CSR (compressed sparse row)
-  arrays; see :class:`MilpModel`.  The presolve, the feasibility re-check,
-  the infeasibility certificate and every basis's tableau, slack or kept
-  (below), read its nonzeros; ``MilpModel.a_matrix`` builds the dense
-  matrix on each access, for oracles and tests only.
+  arrays (:class:`MilpModel`); the presolve, the re-checks and the simplex
+  read its nonzeros, and ``MilpModel.a_matrix`` is a dense view for oracles
+  and tests only.
 * One bounded dual simplex solves every LP (Koberstein, *The dual simplex
   method*, 2005, ch. 3).  Each row gets a slack (``A x + s = b``, with
   ``s >= 0`` for ``<=``, ``s <= 0`` for ``>=`` and ``s = 0`` for ``==``),
   and every structural column is boxed, so the slack basis is dual
   feasible once each nonbasic column rests at the bound its cost sign
-  picks: there is no phase 1.  The leaving row is the one with the largest
-  bound violation relative to the norm of its row of the basis inverse
-  (dual steepest edge, kept exact as the inverse changes); the ratio test
-  flips boxed columns to their other bound while the leaving variable
-  stays out of bounds, then takes the largest pivot among the ratios
-  within the dual tolerance (Harris).  After ``10 * (rows + cols)``
-  iterations the leaving row and entering column are chosen by least index
-  instead (Bland's rule for the dual), so degenerate models still
-  terminate.
-* The dense tableau is stored transposed (one contiguous array per column),
-  and each pivot applies its rank-1 update only to the columns where the
-  pivot row is nonzero.  Decoder pivot rows are mostly zero, and a skipped
-  column would only have had +-0 subtracted.
+  picks: there is no phase 1.  The leaving row has the largest bound
+  violation relative to the norm of its row of the basis inverse (dual
+  steepest edge, kept exact); the ratio test flips boxed columns to their
+  other bound while the leaving variable stays out of bounds, then takes
+  the largest pivot among the ratios within the dual tolerance (Harris).
+  After ``10 * (rows + cols)`` iterations both choices go by least index
+  (Bland's rule for the dual), so degenerate models still terminate.
+* The simplex is revised: its only dense storage is the transposed basis
+  inverse (rows x rows; above 1 MB in its own anonymous map).  The pivot row
+  is row ``r`` of the inverse times ``[A I]`` (one ``bincount`` over the
+  nonzeros), the entering column is ``B^-1 a_q`` (from a column-major
+  index built once per model), bound flips and new bounds move the basic
+  values by ``B^-1 (A dx)``, and each pivot's rank-1 update touches only
+  the rows of the inverse where its row ``r`` is nonzero.
 * An ``infeasible`` answer is certified: the row the dual simplex could not
-  repair is aggregated again from the original rows with its multipliers
-  (its row of the basis inverse), and its least (or greatest) value over
-  the bounds, each slack also bounded by its row's activity, must miss the
-  aggregated rhs.  A certificate that fails raises :class:`NumericalError`.
-* Branch-and-bound branches on the integer variable whose fractional part is
-  closest to 0.5, explores depth-first, and orders the two children so the
-  branch nearest the parent LP value is taken first.  Each node starts
-  from its parent's optimal basis, which stays dual feasible when one
-  column is fixed: the child popped right after its parent continues on
-  the live tableau, moving only the branched column, and any other child
-  refactors the kept basis with one linear solve.
+  repair is aggregated again from the original rows with its row of the
+  basis inverse, and its least (or greatest) value over the bounds, each
+  slack also bounded by its row's activity, must miss the aggregated rhs.
+* Branch-and-bound branches on the integer variable whose fractional part
+  is closest to 0.5 (the lowest-indexed one within 1e-9 of the closest, so
+  last-bit rounding does not move the tree), explores depth-first, and
+  takes first the child nearest the parent LP value.  Each node starts
+  from its parent's optimal basis, still dual feasible with one column
+  fixed: the child popped right after its parent continues on the live
+  inverse, and any other child refactors the kept basis by inverting its
+  block of basic structural columns.
 * ``solve_lp`` and ``solve_ilp`` first run one exact presolve at the root
-  (never at branch-and-bound nodes).  It reads the constraint nonzeros
-  from the CSR arrays as (row, column, value) triplets and propagates
-  activity bounds until nothing changes: a row's least and greatest
-  activity over the current bounds imply a bound on each of its columns.
-  Integer columns round their implied bounds with the integrality
-  tolerance; a continuous column is only ever fixed, when its implied
-  interval closes.  In group
-  testing this is COMP (an item in a negative test is 0), DD (the lone
-  candidate of a positive test is 1) and the fixing of each edge
-  product with its endpoints.  Rows that hold for every point of the
-  tightened bounds (or that no free column touches) are dropped, so the
-  simplex never sees an empty row, and a free column that no kept row
-  touches is fixed at the bound its cost picks (the upper one for a
-  negative cost, else the lower one): an item in no test, an edge product
-  whose endpoints are both 1, an edge with lambda = 0.  Fixed columns are
-  dropped, their values folded into the rhs and the objective constant;
-  the reduced model's arrays are the kept rows' nonzeros in the kept
-  columns, filtered from the original arrays.
-  Bounds that conflict, or a row that no point of the bounds satisfies,
-  prove the model infeasible with 0 nodes.  A model the presolve leaves unchanged is solved
-  as given, with no copy.
-* Postsolve scatters the reduced solution back into a full-length point
-  and re-checks it against the original model (at the feasibility
-  tolerance for an LP, at 1e-7 for an incumbent); the reported objective
-  is computed on the original model.
-* Before the root node, branch-and-bound checks every ``==`` row of the
-  presolved model whose nonzeros are integers on integer variables only:
-  the row's value is then a multiple of the gcd of its coefficients, so a
-  rhs that is not (within the feasibility tolerance) proves the model
-  infeasible with 0 nodes.  Rows touching a continuous variable are
-  skipped.
+  (never at nodes): activity bounds are propagated over the nonzeros until
+  nothing changes, integer columns rounding implied bounds with the
+  integrality tolerance and a continuous column fixed only when its
+  implied interval closes.  In group testing this is COMP (an item in a
+  negative test is 0), DD (the lone candidate of a positive test is 1) and
+  the fixing of each edge product with its endpoints.  Rows that hold over
+  the tightened bounds, or that no free column touches, are dropped; a
+  free column that no kept row touches is fixed at the bound its cost
+  picks (upper for a negative cost, else lower).  Fixed columns are folded
+  into the rhs and the objective constant.  Conflicting bounds, or a row
+  that no point of the bounds satisfies, prove the model infeasible with 0
+  nodes; an unchanged model is solved as given.  Postsolve scatters the
+  reduced solution back and re-checks it against the original model (at
+  the feasibility tolerance for an LP, at 1e-7 for an incumbent).
+* Before the root node, an ``==`` row of the presolved model with integer
+  coefficients on integer variables only, whose rhs is no multiple of the
+  gcd of its coefficients (within the feasibility tolerance), proves the
+  model infeasible with 0 nodes.
 * Tolerances are fixed: feasibility 1e-9, integrality 1e-6, bound-pruning
-  1e-7; inside the dual simplex a basic value leaves when it is more than
-  half the feasibility tolerance out of bounds, and the dual and pivot
-  tolerances are 1e-9.
-* Every LP solve, the root relaxation and each branch-and-bound node alike,
-  goes through one certified solve: an optimal point is re-checked for
-  feasibility against the model before it is used, and an incumbent is
-  re-checked after rounding.  Irrecoverable numerical trouble raises
-  :class:`NumericalError` rather than returning a silently wrong answer;
-  that includes a non-finite constraint matrix (caught by the presolve),
-  an infeasibility certificate that fails and a kept basis that has become
-  singular.
+  1e-7; in the dual simplex, primal 0.5e-9, dual and pivot 1e-9.
+* Every LP solve, root or node, is certified: an optimal point is
+  re-checked against the model before it is used, and an incumbent after
+  rounding.  Numerical trouble raises :class:`NumericalError` rather than
+  returning a silently wrong answer: a non-finite constraint matrix
+  (caught by the presolve), a failed infeasibility certificate or a kept
+  basis that has become singular.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -209,6 +194,13 @@ class MilpModel:
         """The row of each nonzero, as ``np.nonzero`` gives it for the dense
         matrix."""
         return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
+
+    @cached_property
+    def columns(self) -> tuple:
+        """``(colptr, rows, values)``: the nonzeros by column, built once."""
+        order = np.argsort(self.indices, kind="stable")
+        colptr = np.searchsorted(self.indices[order], np.arange(self.num_vars + 1))
+        return colptr, self.row_ids()[order], self.data[order]
 
     @property
     def a_matrix(self) -> np.ndarray:
@@ -352,7 +344,7 @@ def _activity_range(ri, cj, av, m: int, lo, hi) -> tuple:
 
 class _Tableau:
     """A basis of ``model``'s rows at the structural bounds ``lo``, ``hi``,
-    with its dense tableau, reduced costs and basic values.
+    with its inverse, reduced costs and basic values.
 
     Each row gets one slack, ``A x + s = b``, with ``s`` in ``[0, inf)`` for
     ``<=``, ``(-inf, 0]`` for ``>=`` and ``[0, 0]`` for ``==``, so the slack
@@ -361,62 +353,81 @@ class _Tableau:
     factored on one path from the model's CSR arrays.  Every boxed nonbasic
     column whose reduced cost is not zero rests at the bound its sign picks,
     so the slack basis, and a basis that was optimal at other bounds, are
-    dual feasible.
+    dual feasible.  The one dense array is ``binv_t``, the transposed basis
+    inverse (m x m): row ``k`` is ``B^-1 e_k``, column ``r`` row ``r`` of it.
     """
 
     def __init__(self, model: MilpModel, lo, hi, start=None):
-        b = model.rhs
         m, n = model.num_rows, model.num_vars
         rel = np.asarray(model.relations, dtype=str)
         self.model = model
+        self.row_ids = model.row_ids()
         self.lo = np.concatenate([lo, np.where(rel == ">=", -np.inf, 0.0)])
         self.hi = np.concatenate([hi, np.where(rel == "<=", np.inf, 0.0)])
         self.pivots = 0
         if start is None:
             start = n + np.arange(m), np.zeros(n + m, dtype=bool)
         self.basis, at_upper = start[0].copy(), start[1].copy()
-        # With the basic slacks' rows t and the others r, the basis is
-        # [[A_rS, 0], [A_tS, I]] up to order, so its inverse needs only the
-        # inverse of A_rS, whose size is the number of basic structural
-        # columns S (none for the slack basis), and only rows r are stored
-        # dense.  Rows t enter A^T B^-1 through unit rows of the inverse, a
-        # scatter of their nonzeros.
+        # With the basic structural columns S, the basic slacks' rows t and
+        # the other rows r, B = [[A_rS, 0], [A_tS, I]] up to order and B^-1 =
+        # [[A_rS^-1, 0], [-A_tS A_rS^-1, I]]: only A_rS (0x0 for the slack
+        # basis) is inverted.
         pos_s, pos_t = np.flatnonzero(self.basis < n), np.flatnonzero(self.basis >= n)
         rows_t = self.basis[pos_t] - n
-        at_t = np.full(m, -1)  # each row's basic slack's position, or -1
-        at_t[rows_t] = pos_t
-        rows_r = np.flatnonzero(at_t < 0)
+        rows_r = np.flatnonzero(np.bincount(rows_t, minlength=m) == 0)
         cols_s = self.basis[pos_s]
-        a_r = _block(model, rows_r, np.arange(n))
         try:
-            inv_rs = np.linalg.inv(a_r[:, cols_s])
+            inv_rs = np.linalg.inv(_block(model, rows_r, cols_s))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("kept basis is singular") from exc
-        inv_r = np.zeros((rows_r.size, m))  # rows r of the transposed inverse
-        inv_r[:, pos_s] = inv_rs.T
-        inv_r[:, pos_t] = -(_block(model, rows_t, cols_s) @ inv_rs).T
-        del inv_rs  # freed before the tableau is allocated
-        # Transposed tableau: tab_t[j, i] is row i, column j, so each column
-        # (the entering one, or one the pivot row touches) is contiguous.
-        # Its slack rows tab_t[n:] hold the transposed basis inverse.
-        self.tab_t = np.zeros((n + m, m))
-        self.tab_t[n + rows_r] = inv_r
-        np.matmul(a_r.T, inv_r, out=self.tab_t[:n])
-        slot = at_t[model.row_ids()]
-        in_t = slot >= 0
-        self.tab_t[model.indices[in_t], slot[in_t]] += model.data[in_t]
-        self.tab_t[self.basis] = 0.0  # basic columns are exact unit vectors
-        self.tab_t[self.basis, np.arange(m)] = 1.0
-        beta = b @ self.tab_t[n:]
-        self.weights = np.einsum("ij,ij->j", self.tab_t[n:], self.tab_t[n:])
+        # An inverse larger than the sliced temporaries gets its own zero-filled
+        # anonymous map, so no small allocation can pin its place in the heap
+        # and grow a long run's heap; a smaller one reuses heap pages.
+        self.binv_t = (np.zeros((m, m)) if 8 * m * m <= _SLICE_BYTES else
+                       np.frombuffer(mmap.mmap(-1, 8 * m * m), count=m * m).reshape(m, m))
+        self.binv_t[np.ix_(rows_r, pos_s)] = inv_rs.T
+        self.binv_t[np.ix_(rows_r, pos_t)] = -(_block(model, rows_t, cols_s) @ inv_rs).T
+        self.binv_t[rows_t, pos_t] = 1.0
+        self.weights = np.einsum("ij,ij->j", self.binv_t, self.binv_t)
         self.in_basis = np.zeros(n + m, dtype=bool)
         self.in_basis[self.basis] = True
         cost = np.concatenate([model.objective, np.zeros(m)])
-        self.d = cost - self.tab_t @ cost[self.basis]
+        self.d = cost - self._combine(self.binv_t @ cost[self.basis])
         self.d[self.basis] = 0.0
         boxed = np.isfinite(self.lo) & np.isfinite(self.hi) & ~self.in_basis
         self.at_upper = np.where(boxed & (np.abs(self.d) > _DUAL_TOL), self.d < 0, at_upper)
-        self.x_b = beta - self._nonbasic_values() @ self.tab_t
+        self.x_b = model.rhs @ self.binv_t
+        self.move(self._nonbasic_values())
+
+    def _combine(self, y) -> np.ndarray:
+        """``y^T [A I]``: the rows combined with the multipliers ``y``."""
+        model = self.model
+        return np.concatenate([np.bincount(model.indices, model.data * y[self.row_ids],
+                                           minlength=model.num_vars), y])
+
+    def row(self, r: int) -> np.ndarray:
+        """Row ``r`` of ``B^-1 [A I]``, exact in the basic columns."""
+        alpha = self._combine(self.binv_t[:, r])
+        alpha[self.basis] = 0.0
+        alpha[self.basis[r]] = 1.0
+        return alpha
+
+    def column(self, q: int) -> np.ndarray:
+        """Column ``q`` of ``B^-1 [A I]``, from column ``q``'s nonzeros."""
+        if q >= self.model.num_vars:
+            return self.binv_t[q - self.model.num_vars].copy()
+        colptr, rows, values = self.model.columns
+        nz = slice(colptr[q], colptr[q + 1])
+        return values[nz] @ self.binv_t[rows[nz]]
+
+    def move(self, moved) -> None:
+        """Carry the basic values along as the nonbasic columns move by
+        ``moved`` (over all n + m columns): ``x_b -= B^-1 [A I] moved``."""
+        model = self.model
+        v = np.bincount(self.row_ids, model.data * moved[model.indices],
+                        minlength=model.num_rows) + moved[model.num_vars:]
+        k = np.flatnonzero(v)
+        self.x_b -= v[k] @ self.binv_t[k]
 
     def _nonbasic_values(self) -> np.ndarray:
         """Every column at its resting bound, with 0 for the basic ones."""
@@ -434,9 +445,7 @@ class _Tableau:
         dual simplex then repairs."""
         old = self._nonbasic_values()
         self.lo[:lo.size], self.hi[:hi.size] = lo, hi
-        moved = self._nonbasic_values() - old
-        j = np.flatnonzero(moved)
-        self.x_b -= moved[j] @ self.tab_t[j]
+        self.move(self._nonbasic_values() - old)
 
     def point(self) -> np.ndarray:
         """The structural values of the basic solution."""
@@ -449,18 +458,17 @@ class _Tableau:
         variable cannot reach its lower (``to_lower``) or upper bound, proves
         the rows infeasible at the bounds once aggregated again from the
         original rows with the row's multipliers."""
-        model = self.model
-        b, n = model.rhs, model.num_vars
-        ri, cj, av = model.row_ids(), model.indices, model.data
+        model, b, n = self.model, self.model.rhs, self.model.num_vars
         lo, hi = self.lo[:n], self.hi[:n]
-        y = self.tab_t[n:, r]  # row r of the basis inverse
+        y = self.binv_t[:, r]  # row r of the basis inverse
         # Each slack s = b - A x is also bounded by its row's activity.
-        min_act, max_act = _activity_range(ri, cj, av, b.size, lo, hi)
+        min_act, max_act = _activity_range(self.row_ids, model.indices, model.data,
+                                           b.size, lo, hi)
         s_lo = np.maximum(self.lo[n:], b - max_act)
         s_hi = np.minimum(self.hi[n:], b - min_act)
         if (s_lo - s_hi > FEASIBILITY_TOL * (1.0 + np.abs(b))).any():
             return  # a row that no point within the bounds satisfies
-        coef = np.concatenate([np.bincount(cj, av * y[ri], minlength=n), y])
+        coef = self._combine(y)
         z_lo = np.concatenate([lo, np.minimum(s_lo, s_hi)])
         z_hi = np.concatenate([hi, s_hi])
         rhs = float(y @ b)
@@ -481,12 +489,11 @@ def _simplex(tab: _Tableau):
     Returns (status, x) with status in {optimal, infeasible}; an infeasible
     answer has passed ``tab.certify_infeasible``.
     """
-    tab_t, basis, d, weights, x_b = tab.tab_t, tab.basis, tab.d, tab.weights, tab.x_b
+    binv_t, basis, d, weights, x_b = tab.binv_t, tab.basis, tab.d, tab.weights, tab.x_b
     lo, hi, at_upper, in_basis = tab.lo, tab.hi, tab.at_upper, tab.in_basis
     m, total = basis.size, lo.size
-    n = total - m
     movable = lo < hi  # a fixed column never enters
-    slice_cols = max(1, _SLICE_BYTES // (8 * m)) if m else 1
+    slice_rows = max(1, _SLICE_BYTES // (8 * m)) if m else 1
     bland_after = 10 * (m + total)
     max_iter = 200 * (m + total) + 20000
     iters = 0
@@ -509,7 +516,7 @@ def _simplex(tab: _Tableau):
         if iters > max_iter:
             raise NumericalError("dual simplex iteration limit exceeded")
         to_lower = bool(below[r] > 0)
-        alpha = tab_t[:, r].copy()  # the pivot row
+        alpha = tab.row(r)
         # gain > 0: moving the column off its bound moves the leaving
         # variable toward its violated bound.
         gain = np.where(at_upper, alpha, -alpha)
@@ -541,9 +548,9 @@ def _simplex(tab: _Tableau):
             q = int(cand[rest[ok][np.argmax(g[rest[ok]])]])
             flip = cand[order[:k]]
             if flip.size:
-                moved = np.where(at_upper[flip], lo[flip] - hi[flip], hi[flip] - lo[flip])
+                old = tab._nonbasic_values()
                 at_upper[flip] = ~at_upper[flip]
-                x_b -= moved @ tab_t[flip]
+                tab.move(tab._nonbasic_values() - old)
         piv = alpha[q]
         if (d[q] < 0) != at_upper[q]:
             d[q] = 0.0  # drop a reduced cost within the tolerance of the wrong sign
@@ -552,31 +559,27 @@ def _simplex(tab: _Tableau):
         p = basis[r]
         theta = (x_b[r] - (lb[r] if to_lower else ub[r])) / piv
         enter = (hi[q] if at_upper[q] else lo[q]) + theta
-        col = tab_t[q].copy()
+        col = tab.column(q)
         x_b -= theta * col
         x_b[r] = enter
         at_upper[p], at_upper[q] = not to_lower, False
         in_basis[p], in_basis[q] = False, True
         basis[r] = q
         w_r = weights[r]
-        prow = tab_t[:, r]
+        prow = binv_t[:, r]  # row r of the basis inverse
         prow /= piv
         col[r] = 0.0
-        # Rank-1 update restricted to the pivot row's nonzero columns (every
-        # other column would have +-0 subtracted), a slice of them at a
-        # time so that its temporaries stay small beside the tableau.  The
-        # steepest-edge weights follow the changed rows of the basis
-        # inverse, the slack columns; row r of the inverse is only divided
-        # by piv.
-        cols = prow.nonzero()[0]
-        for first in range(0, cols.size, slice_cols):
-            part = cols[first:first + slice_cols]
-            block = tab_t[part]
-            inv = block[np.searchsorted(part, n):]
-            weights -= np.einsum("ij,ij->j", inv, inv)
+        # Rank-1 update of the rows where row r of the inverse is nonzero
+        # (any other would have +-0 subtracted), a slice at a time to keep
+        # temporaries small; the steepest-edge weights follow those rows.
+        rows = prow.nonzero()[0]
+        for first in range(0, rows.size, slice_rows):
+            part = rows[first:first + slice_rows]
+            block = binv_t[part]
+            weights -= np.einsum("ij,ij->j", block, block)
             block -= np.multiply.outer(prow[part], col)
-            weights += np.einsum("ij,ij->j", inv, inv)
-            tab_t[part] = block
+            weights += np.einsum("ij,ij->j", block, block)
+            binv_t[part] = block
         weights[r] = w_r / (piv * piv)
         np.maximum(weights, _WEIGHT_FLOOR, out=weights)
         iters += 1
@@ -707,11 +710,8 @@ def _presolve(model: MilpModel, integral: np.ndarray) -> _Presolved:
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
-    """Solve the continuous relaxation (integer marks ignored).
-
-    The returned solution, when optimal, has passed an independent
-    feasibility re-check against ``model`` at ``FEASIBILITY_TOL``.
-    """
+    """Solve the continuous relaxation (integer marks ignored); an optimal
+    point has passed a feasibility re-check against ``model``."""
     pre = _presolve(model, np.zeros(model.num_vars, dtype=bool))
     if pre.model is None:
         sol = MilpSolution("infeasible", None, None)
@@ -752,6 +752,13 @@ def solve_ilp(model: MilpModel, node_limit: int = 200_000) -> MilpSolution:
     return pre.postsolve(model, sol, 1e-7)
 
 
+def _branch_column(x: np.ndarray, cands: np.ndarray) -> int:
+    """The first of the increasing ``cands`` whose fractional part is within
+    1e-9 of the least distance to 0.5, so last-bit rounding cannot move it."""
+    dist = np.abs((x[cands] - np.floor(x[cands])) - 0.5)
+    return int(cands[np.flatnonzero(dist <= dist.min() + 1e-9)[0]])
+
+
 def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
     """Depth-first branch-and-bound from ``model``'s own bounds.
 
@@ -761,8 +768,7 @@ def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
     """
     int_idx = np.flatnonzero(model.integer_mask)
     c = model.objective
-    best_x = None
-    best_obj = np.inf
+    best_x, best_obj = None, np.inf
     nodes = pivots = 0
     tab = live = None
     stack = [(model.lower, model.upper, None)]
@@ -780,9 +786,7 @@ def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
         sol = _solve_node(tab)
         nodes += 1
         pivots += sol.pivots
-        if sol.status == "infeasible":
-            continue
-        if sol.objective_value >= best_obj - PRUNE_TOL:
+        if sol.status == "infeasible" or sol.objective_value >= best_obj - PRUNE_TOL:
             continue
         x = sol.x
         frac = np.abs(x[int_idx] - np.round(x[int_idx]))
@@ -792,15 +796,11 @@ def _branch_and_bound(model: MilpModel, node_limit: int) -> MilpSolution:
             if feasibility_violation(model, x_r) <= 1e-7:
                 obj = float(c @ x_r) + model.objective_constant
                 if obj < best_obj:
-                    best_obj = obj
-                    best_x = x_r
+                    best_obj, best_x = obj, x_r
                 continue
             j = int(int_idx[np.argmax(frac)])
         else:
-            fractional = frac > INTEGRALITY_TOL
-            cands = int_idx[fractional]
-            dist = np.abs((x[cands] - np.floor(x[cands])) - 0.5)
-            j = int(cands[np.argmin(dist)])
+            j = _branch_column(x, int_idx[frac > INTEGRALITY_TOL])
         near = int(round(float(np.clip(x[j], 0.0, 1.0))))
         live = tab.start()
         for val in (1 - near, near):  # LIFO: nearest branch explored first

@@ -419,6 +419,21 @@ class TestConfigIO:
                             for k, v in edit.items()})
         assert calls == []
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ExperimentConfig.from_dict({**PRESETS["ci-grid-10"], "lam": float("inf")}),
+         "lam and phi must be finite"),
+        (lambda: ExperimentConfig.from_dict({**PRESETS["ci-grid-10"], "phi": float("nan")}),
+         "lam and phi must be finite"),
+        (lambda: GraphConfig("grid", rows=0, cols=5), r"grid dimensions must be >= 1"),
+        (lambda: GraphConfig("block", blocks_r=2, blocks_c=2, block_rows=-1, block_cols=3),
+         r"block dimensions must be >= 1"),
+        (lambda: GraphConfig("edge_list", path="x", subsample=-1),
+         r"GraphConfig.subsample: the number of vertices kept must be >= 0"),
+    ], ids=["lam-inf", "phi-nan", "grid-rows-0", "block-rows-negative", "subsample-negative"])
+    def test_out_of_range_graph_or_prior_is_rejected_at_construction(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     @pytest.mark.parametrize("cls, kwargs, message", [
         (GraphConfig, {"kind": "grid", "rows": 3.5, "cols": 3},
          "GraphConfig.rows must be int, not float"),

@@ -307,6 +307,16 @@ def fuzzed_mixed_model(rng):
     return MilpModel.from_dense(rng.normal(size=n), lo, hi, a, tuple(rel), b, integer)
 
 
+class TestBranching:
+    def test_near_ties_branch_on_the_lowest_index(self):
+        # Columns 1 and 3 sit a last bit above and below 0.5; column 3 is
+        # nearer, but a tie within rounding goes to the lower index.
+        x = np.array([0.2, np.nextafter(0.5, 1.0), 0.9, np.nextafter(0.5, 0.0), 0.45])
+        assert milp._branch_column(x, np.arange(5)) == 1
+        assert milp._branch_column(x, np.array([2, 3, 4])) == 3
+        assert milp._branch_column(x, np.array([0, 4])) == 4
+
+
 class TestWarmStarts:
     """Branch-and-bound nodes continue from their parent's basis; each must
     answer as a cold solve at its own bounds and as HiGHS."""
@@ -374,18 +384,19 @@ class TestWarmStarts:
         assert moved > 30
 
     def test_corrupted_infeasibility_certificate_raises(self):
-        # x0 + x1 >= 1 holds at x = (1, 0); negating the tableau's row makes
-        # the simplex see no column that can repair the violated slack.
+        # x0 + x1 >= 1 holds at x = (1, 0); negating row 0 of the basis
+        # inverse makes the simplex see no column that can repair the violated
+        # slack, and the rows aggregated with those multipliers prove nothing.
         m = model([1.0, 1.0], [[1.0, 1.0]], [">="], [1.0])
         tab = milp._Tableau(m, m.lower, m.upper)
-        tab.tab_t[:2, 0] *= -1.0
+        tab.binv_t[:, 0] *= -1.0
         with pytest.raises(NumericalError, match="certificate"):
             milp._simplex(tab)
 
 
 class TestTableauConstruction:
     """The slack basis and every kept basis are built on one path, from the
-    model's CSR arrays only."""
+    model's CSR arrays only, and the tableau is the basis inverse alone."""
 
     @staticmethod
     def fuzzed(rng, trial):
@@ -419,7 +430,7 @@ class TestTableauConstruction:
             assert np.array_equal(tab.basis, live.basis)
             # A fixed column may rest at either of its equal bounds.
             assert np.array_equal(tab._nonbasic_values(), live._nonbasic_values())
-            for name in ("tab_t", "d", "x_b"):
+            for name in ("binv_t", "d", "x_b"):
                 assert np.allclose(getattr(tab, name), getattr(live, name), rtol=0, atol=1e-9)
             kept += bool((live.basis < n).any())
         assert kept > 200
@@ -429,11 +440,48 @@ class TestTableauConstruction:
         for trial in range(200):
             m = self.fuzzed(rng, trial)
             n, rows = m.num_vars, m.num_rows
-            want = np.zeros((n + rows, rows))
-            want[m.indices, m.row_ids()] = m.data
-            want[n:] = np.eye(rows)
+            want = np.zeros((rows, n + rows))
+            want[m.row_ids(), m.indices] = m.data
+            want[:, n:] = np.eye(rows)
             tab = milp._Tableau(m, m.lower, m.upper)
-            assert tab.tab_t.tobytes() == want.tobytes()  # bit for bit, signs of 0 too
+            # Bit for bit, signs of 0 too.
+            assert tab.binv_t.tobytes() == np.eye(rows).tobytes()
+            for r in range(rows):
+                assert tab.row(r).tobytes() == want[r].tobytes()
+
+    def test_pivot_row_and_entering_column_match_a_dense_solve(self):
+        rng = np.random.default_rng(114)
+        kept = 0
+        for tab in self.solved_tableaus(rng, 200):
+            m = tab.model
+            a_i = np.hstack([m.a_matrix, np.eye(m.num_rows)])
+            want = np.linalg.solve(a_i[:, tab.basis], a_i)
+            for r in range(m.num_rows):
+                assert np.allclose(tab.row(r), want[r], rtol=0, atol=1e-9)
+            for q in range(a_i.shape[1]):
+                assert np.allclose(tab.column(q), want[:, q], rtol=0, atol=1e-9)
+            kept += bool((tab.basis < m.num_vars).any())
+        assert kept > 150
+
+    @pytest.mark.parametrize("t, n, grid_rows", [(30, 40, 4), (200, 100, 10)],
+                             ids=["heap", "mapped"])
+    def test_tableau_holds_only_the_basis_inverse(self, t, n, grid_rows):
+        rng = np.random.default_rng(115)
+        m = decoder_model("ising_map", rng.random((t, n)) < 0.2, rng.integers(0, 2, t),
+                          rho=0.05, relaxed=True, rows=grid_rows)
+        rows, total = m.num_rows, m.num_rows + m.num_vars
+        # The larger inverse gets its own memory map; both answer as HiGHS.
+        assert (8 * rows * rows > milp._SLICE_BYTES) == (t == 200)
+        tab = milp._Tableau(m, m.lower, m.upper)
+        assert tab.binv_t.tobytes() == np.eye(rows).tobytes()
+        sol = milp._solve_node(tab)
+        status, fun = highs(m)
+        assert sol.status == "optimal" and status == 0
+        assert abs(sol.objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
+        arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays if a.ndim > 1] == [(rows, rows)]
+        # Beside the m x m inverse: vectors over the columns and the nonzeros.
+        assert sum(a.nbytes for a in arrays) <= 8 * (rows * rows + 6 * total + m.data.size)
 
     def test_search_never_reads_the_dense_matrix(self, monkeypatch):
         def no_dense(model):
