@@ -1,10 +1,13 @@
-"""Closed-form and numerically solved information-theoretic quantities:
-binary entropy, the per-test mutual-information asymptotic, default
-combinatorial counts, achievability/converse test-count coefficients, the
-optimal Bernoulli parameter, and limiting rates.
+"""Information-theoretic quantities: binary entropy, default combinatorial
+counts, the optimal Bernoulli exponent nu*, achievability/converse
+test-count coefficients and limiting rates.
 
-All coefficients multiply k*log2(n/k); the second-order 2*log2(k) term is
-reported separately when (n, k) are supplied, never folded in.
+One rule gives every coefficient and rate: the per-test mutual information
+I(alpha, nu) = exp(-(1-alpha) nu) H2(exp(-alpha nu)) of :func:`mi_asymptotic`.
+With m = max(alpha*, beta), alpha* and beta in (0, 1), the coefficient is
+beta / I(m, nu) and the rate I(m, nu*).  A nu that is not finite and > 0 is
+a ValueError; one at which I underflows, so beta / I is not finite, is a
+NumericalError.  Coefficients multiply k*log2(n/k), never folding in 2*log2(k).
 """
 
 from __future__ import annotations
@@ -18,6 +21,18 @@ from .milp import NumericalError
 LN2 = math.log(2.0)
 
 
+def _check_point(alpha_star: float, beta: float) -> None:
+    if not (0.0 < alpha_star < 1.0):
+        raise ValueError("alpha_star must lie in (0, 1)")
+    if not (0.0 < beta < 1.0):
+        raise ValueError("beta must lie in (0, 1)")
+
+
+def _check_nu(nu: float) -> None:
+    if not (0.0 < nu < math.inf):
+        raise ValueError(f"nu must be finite and > 0, got {nu}")
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """Inputs for a bound evaluation; nu defaults to its optimal value."""
@@ -29,12 +44,9 @@ class BoundQuery:
     k: Optional[int] = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_star < 1.0):
-            raise ValueError("alpha_star must lie in (0, 1)")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1)")
-        if self.nu is not None and self.nu <= 0:
-            raise ValueError("nu must be positive")
+        _check_point(self.alpha_star, self.beta)
+        if self.nu is not None:
+            _check_nu(self.nu)
         if (self.n is None) != (self.k is None):
             raise ValueError("supply n and k together")
         if self.n is not None and not (1 <= self.k < self.n):
@@ -44,8 +56,10 @@ class BoundQuery:
 @dataclass(frozen=True)
 class BoundResult:
     """Achievability/converse coefficients, limiting rates, and optional
-    absolute test counts."""
+    absolute test counts; its fields, in this order, are the point-form JSON."""
 
+    alpha_star: float
+    beta: float
     coefficient: float
     converse: float
     rate_s: float
@@ -65,12 +79,11 @@ def binary_entropy(lam: float) -> float:
 
 
 def mi_asymptotic(alpha: float, nu: float) -> float:
-    """Large-k per-test conditional mutual information
-    exp(-(1-alpha)*nu) * H2(exp(-alpha*nu)), in bits."""
+    """I(alpha, nu) = exp(-(1-alpha)*nu) * H2(exp(-alpha*nu)), the large-k
+    per-test conditional mutual information in bits."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    _check_nu(nu)
     return math.exp(-(1.0 - alpha) * nu) * binary_entropy(math.exp(-alpha * nu))
 
 
@@ -91,10 +104,10 @@ def _nu_residual(nu: float, m: float) -> float:
     return binary_entropy(x) + m * math.log2(1.0 - x)
 
 
-def optimal_nu(m: float, tol: float = 1e-10) -> float:
+def optimal_nu(m: float) -> float:
     """The test-minimizing Bernoulli exponent for fragility level m = max(alpha*, beta):
-    the root of H2(exp(-nu m)) = -m * log2(1 - exp(-nu m)), found by bisection
-    over [1e-6, 50].  The bracket's sign change is verified at runtime."""
+    the root of H2(exp(-nu m)) = -m * log2(1 - exp(-nu m)), bisected over
+    [1e-6, 50] to |f| < 1e-10 after a runtime check of the bracket's sign change."""
     if not (0.0 < m <= 1.0):
         raise ValueError("m must lie in (0, 1]")
     lo, hi = 1e-6, 50.0
@@ -105,78 +118,64 @@ def optimal_nu(m: float, tol: float = 1e-10) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = _nu_residual(mid, m)
-        if abs(f_mid) < tol:
+        if abs(f_mid) < 1e-10:
             return mid
         if f_mid < 0.0:
             lo = mid
         else:
             hi = mid
-    raise NumericalError(f"optimal_nu bisection failed to reach |f| < {tol}")
+    raise NumericalError("optimal_nu bisection failed to reach |f| < 1e-10")
 
 
 def achievability_coefficient(alpha_star: float, beta: float,
                               nu: Optional[float] = None) -> Tuple[float, float]:
-    """Coefficient of k*log2(n/k) tests sufficient for approximate recovery:
-    beta * exp(nu (1 - m)) / H2(exp(-nu m)) with m = max(alpha*, beta).
-
-    Returns (coefficient, nu_used); nu defaults to optimal_nu(m).
-    """
-    if not (0.0 < alpha_star < 1.0 and 0.0 < beta < 1.0):
-        raise ValueError("alpha_star and beta must lie in (0, 1)")
+    """(coefficient, nu_used): beta / I(m, nu) with m = max(alpha*, beta), the
+    coefficient of k*log2(n/k) tests sufficient for approximate recovery; nu
+    defaults to optimal_nu(m)."""
+    _check_point(alpha_star, beta)
     m = max(alpha_star, beta)
-    if nu is None:
-        nu = optimal_nu(m)
-    elif nu <= 0:
-        raise ValueError("nu must be positive")
-    coef = beta * math.exp(nu * (1.0 - m)) / binary_entropy(math.exp(-nu * m))
+    nu = optimal_nu(m) if nu is None else nu
+    mi = mi_asymptotic(m, nu)
+    coef = beta / mi if mi > 0.0 else math.inf
+    if coef == math.inf:
+        raise NumericalError(f"I(m={m}, nu={nu}) = {mi} is too small for a finite beta / I")
     return coef, nu
 
 
 def inner_max_objective(alpha: float, beta: float, nu: float) -> float:
-    """min(alpha, beta) / (exp(-(1-alpha) nu) H2(exp(-alpha nu))), the
-    per-alpha objective whose maximum over [alpha*, 1] yields the coefficient.
-    Used by the grid-search validator of the analytic maximizer."""
+    """min(alpha, beta) / I(alpha, nu), the per-alpha objective whose maximum
+    over [alpha*, 1] yields the coefficient.  Used by the grid-search
+    validator of the analytic maximizer."""
     return min(alpha, beta) / mi_asymptotic(alpha, nu)
 
 
 def converse_coefficient(alpha_star: float, beta: float) -> float:
     """Coefficient of k*log2(n/k) tests necessary: max(0, beta - alpha*)."""
-    if not (0.0 < alpha_star < 1.0 and 0.0 < beta < 1.0):
-        raise ValueError("alpha_star and beta must lie in (0, 1)")
+    _check_point(alpha_star, beta)
     return max(0.0, beta - alpha_star)
 
 
 def rate_limit_at(m: float) -> Tuple[float, float]:
-    """(rate, nu*) at fragility level m: H2(exp(-nu* m)) / exp(nu* (1 - m))
-    evaluated at the optimal nu*."""
+    """(I(m, nu*), nu*): the limit of log2|S|/t at fragility level m and the
+    optimal nu* it is reached at."""
     nu = optimal_nu(m)
-    rate = binary_entropy(math.exp(-nu * m)) / math.exp(nu * (1.0 - m))
-    return rate, nu
-
-
-def rate_limits(alpha_star: float, beta: float) -> Tuple[float, float]:
-    """(rate_S, rate_nk): limits of log2|S|/t and log2 C(n,k)/t at the
-    optimal nu; the latter is a 1/beta factor higher."""
-    if not (0.0 < alpha_star < 1.0 and 0.0 < beta < 1.0):
-        raise ValueError("alpha_star and beta must lie in (0, 1)")
-    rate_s, _ = rate_limit_at(max(alpha_star, beta))
-    return rate_s, rate_s / beta
+    return mi_asymptotic(m, nu), nu
 
 
 def evaluate(query: BoundQuery) -> BoundResult:
-    """Assemble every bound quantity for one query."""
-    coef, nu_used = achievability_coefficient(query.alpha_star, query.beta, query.nu)
-    conv = converse_coefficient(query.alpha_star, query.beta)
-    rate_s, rate_nk = rate_limits(query.alpha_star, query.beta)
-    tests = None
-    extra = None
+    """Every bound quantity for one query, from one bisection for nu*.  The
+    rates are taken at nu*, the coefficient at the query's nu (nu* when
+    unset); log2 C(n,k)/t is a 1/beta factor above log2|S|/t."""
+    alpha_star, beta = query.alpha_star, query.beta
+    rate_s, nu_star = rate_limit_at(max(alpha_star, beta))
+    coef, nu_used = achievability_coefficient(
+        alpha_star, beta, nu_star if query.nu is None else query.nu)
+    tests = extra = None
     if query.n is not None:
-        klognk = query.k * math.log2(query.n / query.k)
-        tests = coef * klognk
+        tests = coef * (query.k * math.log2(query.n / query.k))
         extra = 2.0 * math.log2(query.k)
-    return BoundResult(coefficient=coef, converse=conv, rate_s=rate_s,
-                       rate_nk=rate_nk, nu_used=nu_used, tests=tests,
-                       extra_log_term=extra)
+    return BoundResult(alpha_star, beta, coef, converse_coefficient(alpha_star, beta),
+                       rate_s, rate_s / beta, nu_used, tests, extra)
 
 
 @dataclass(frozen=True)

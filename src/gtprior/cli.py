@@ -190,12 +190,9 @@ def _cmd_bounds(args) -> None:
         return
     if args.alpha_star is None or args.beta is None:
         raise UsageError("supply --alpha-star and --beta (or --grid)")
-    query = bounds_mod.BoundQuery(alpha_star=args.alpha_star, beta=args.beta,
-                                  nu=args.nu, n=args.n, k=args.k)
-    res = bounds_mod.evaluate(query)
-    payload = {"alpha_star": args.alpha_star, "beta": args.beta,
-               **dataclasses.asdict(res)}
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    res = bounds_mod.evaluate(bounds_mod.BoundQuery(args.alpha_star, args.beta,
+                                                    args.nu, args.n, args.k))
+    _write(json.dumps(dataclasses.asdict(res), indent=2) + "\n", args.out)
 
 
 def _cmd_experiment(args) -> None:

@@ -69,6 +69,14 @@ def check_eta(eta: Optional[float]) -> None:
         raise ValueError(f"eta must be a finite flip penalty > 0, got {eta}")
 
 
+def _check_sizes(name: str, n: int, design: TestDesign, y: OutcomeVector) -> None:
+    """Every decoder entry point's size check: n items of ``name`` and y's tests."""
+    if n != design.n:
+        raise ValueError(f"{name} and design disagree on the item count")
+    if y.t != design.t:
+        raise ValueError("design and outcomes disagree on the test count")
+
+
 def map_flip_penalty(rho: float) -> float:
     """MAP flip-penalty weight log((1-rho)/rho) for symmetric noise."""
     if not (0.0 < rho < 0.5):
@@ -133,14 +141,13 @@ class CandidateFamily:
     quantity below takes one distance, d(S, S') = k - |S & S'|."""
 
     sets: tuple
-    k: int
     membership: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sets = tuple(self.sets)
         if not sets:
             raise ValueError("family must be non-empty")
-        if any(s.k != self.k for s in sets):
+        if any(s.k != sets[0].k for s in sets):
             raise ValueError("all family members must have the common size k")
         if len({s.members for s in sets}) != len(sets):
             raise ValueError("family members must be distinct")
@@ -156,10 +163,13 @@ class CandidateFamily:
     def n(self) -> int:
         return self.sets[0].n
 
+    @property
+    def k(self) -> int:
+        return self.sets[0].k
+
     @classmethod
     def from_members(cls, members: Sequence[Sequence[int]], n: int) -> "CandidateFamily":
-        sets = tuple(DefectiveSet(tuple(m), n) for m in members)
-        return cls(sets, sets[0].k)
+        return cls(tuple(DefectiveSet(tuple(m), n) for m in members))
 
     def beta(self) -> float:
         """log2|S| / (k log2(n/k)), the prior-information exponent."""
@@ -239,10 +249,7 @@ def build_model(spec: DecoderSpec, design: TestDesign, y: OutcomeVector) -> Milp
     binary u), so the ILP and its LP relaxation keep their optimal values.
     """
     prior, ising, noisy = spec.prior, spec.family == "ising_map", spec.noise.is_noisy
-    if ising and prior.n != design.n:
-        raise ValueError("prior and design disagree on the item count")
-    if design.t != y.t:
-        raise ValueError("design and outcomes disagree on the test count")
+    _check_sizes("prior", prior.n if ising else design.n, design, y)
     edges = np.array(prior.graph.edges if ising else (), dtype=np.intp).reshape(-1, 2)
     n, t, ne = design.n, design.t, edges.shape[0]
     xi = n + ne  # the first xi column
@@ -331,10 +338,8 @@ def map_score(prior: IsingPrior, u: DefectivityVector, design: TestDesign,
     Noiseless: log prior when u is outcome-consistent, else -inf.
     Noisy: log prior + (#flips) * log(rho / (1-rho)).
     """
-    if u.n != prior.n:
-        raise ValueError(f"dimension mismatch: u.n={u.n}, prior n={prior.n}")
-    if design.n != u.n:
-        raise ValueError(f"dimension mismatch: design n={design.n}, u.n={u.n}")
+    _check_sizes("prior", prior.n, design, y)
+    _check_sizes("u", u.n, design, y)
     return float(_posterior_scores(prior, u.to_numpy()[None], design, y, noise)[0])
 
 
@@ -357,8 +362,7 @@ def brute_force_map(design: TestDesign, y: OutcomeVector, prior: IsingPrior,
     case with no outcome-consistent vector the decode fails (None).
     """
     chunks = config_chunks(design.n, "brute_force_map")
-    if prior.n != design.n:
-        raise ValueError("prior and design disagree on the item count")
+    _check_sizes("prior", prior.n, design, y)
     best_score, best_bits = -math.inf, None
     for configs in chunks:
         scores = _posterior_scores(prior, configs, design, y, noise)
@@ -378,6 +382,8 @@ def info_density(design: TestDesign, y: OutcomeVector, s_dif: DefectiveSet,
     denominator marginalizes s_dif over fresh Bernoulli(p) inclusions:
     P(Y=1 | x_seq) = 1 if the test hits s_eq, else 1 - (1-p)^|s_dif|.
     """
+    _check_sizes("s_dif", s_dif.n, design, y)
+    _check_sizes("s_eq", s_eq.n, design, y)
     if set(s_dif.members) & set(s_eq.members):
         raise ValueError("s_dif and s_eq must be disjoint")
     if not (0.0 < p < 1.0):
@@ -452,10 +458,7 @@ def threshold_decode(family: CandidateFamily, design: TestDesign,
     k = family.k
     if k > 12 or len(family.sets) > 200:
         raise ValueError("threshold_decode is limited to k <= 12 and |family| <= 200")
-    if family.n != design.n:
-        raise ValueError("family and design disagree on the item count")
-    if design.t != y.t:
-        raise ValueError("design and outcomes disagree on the test count")
+    _check_sizes("family", family.n, design, y)
     p = design.bernoulli_p if p is None else p
     if p is None or not (0.0 < p < 1.0):
         raise ValueError("threshold_decode needs the design's Bernoulli parameter")

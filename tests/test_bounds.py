@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from gtprior import bounds
 from gtprior.bounds import (BoundQuery, RateCurveRow, achievability_coefficient,
                             binary_entropy, converse_coefficient,
                             emit_rate_curves, evaluate, inner_max_objective,
                             log2_n_tau_default, mi_asymptotic, optimal_nu,
-                            rate_limit_at, rate_limits, _nu_residual)
+                            rate_limit_at, _nu_residual)
 from gtprior.core import records_csv
+from gtprior.milp import NumericalError
 
 LN2 = math.log(2.0)
 
@@ -49,8 +51,9 @@ class TestMiAsymptotic:
     def test_domain(self):
         with pytest.raises(ValueError):
             mi_asymptotic(0.0, 1.0)
-        with pytest.raises(ValueError):
-            mi_asymptotic(0.5, 0.0)
+        for nu in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="nu must be finite and > 0"):
+                mi_asymptotic(0.5, nu)
 
 
 class TestLog2NTauDefault:
@@ -149,6 +152,16 @@ class TestAchievability:
                 coef, _ = achievability_coefficient(a, b)
                 assert coef >= converse_coefficient(a, b) - 1e-12
 
+    def test_is_beta_over_mi_at_m(self):
+        for a, b, nu in [(0.1, 0.5, LN2), (0.7, 0.3, 1.3), (0.45, 0.45, 0.2)]:
+            coef, _ = achievability_coefficient(a, b, nu=nu)
+            assert coef == b / mi_asymptotic(max(a, b), nu)
+
+    @pytest.mark.parametrize("nu", [800.0, 1e6, 1e-300])
+    def test_underflow_of_mi_is_numerical_error(self, nu):
+        with pytest.raises(NumericalError, match="too small for a finite beta / I"):
+            achievability_coefficient(0.1, 0.5, nu=nu)
+
 
 class TestConverse:
     def test_formula(self):
@@ -168,21 +181,26 @@ class TestRateLimits:
         assert rate == pytest.approx(1.0, abs=1e-6)
         assert nu == pytest.approx(LN2, abs=1e-6)
 
+    def test_rate_is_mi_at_nu_star(self):
+        for m in (0.2, 0.45, 0.7, 1.0):
+            rate, nu = rate_limit_at(m)
+            assert (rate, nu) == (mi_asymptotic(m, optimal_nu(m)), optimal_nu(m))
+
     def test_min_parameter_does_not_matter(self):
-        r1, _ = rate_limits(0.7, 0.2)
-        r2, _ = rate_limits(0.7, 0.6)
+        r1 = evaluate(BoundQuery(alpha_star=0.7, beta=0.2)).rate_s
+        r2 = evaluate(BoundQuery(alpha_star=0.7, beta=0.6)).rate_s
         assert r1 == pytest.approx(r2, abs=1e-12)
 
     def test_rate_nk_grows_as_beta_shrinks(self):
-        _, rnk1 = rate_limits(0.6, 0.4)
-        _, rnk2 = rate_limits(0.6, 0.2)
+        rnk1 = evaluate(BoundQuery(alpha_star=0.6, beta=0.4)).rate_nk
+        rnk2 = evaluate(BoundQuery(alpha_star=0.6, beta=0.2)).rate_nk
         assert rnk2 > rnk1
 
     def test_reciprocal_identity(self):
         for a, b in [(0.1, 0.5), (0.7, 0.3), (0.4, 0.9), (0.25, 0.25)]:
-            coef, _ = achievability_coefficient(a, b)
-            rate_s, _ = rate_limits(a, b)
-            assert abs(1.0 / rate_s - coef / b) < 1e-9
+            res = evaluate(BoundQuery(alpha_star=a, beta=b))
+            assert abs(1.0 / res.rate_s - res.coefficient / b) < 1e-9
+            assert res.rate_nk == res.rate_s / b
 
     def test_m_half_golden(self):
         rate, _ = rate_limit_at(0.5)
@@ -227,3 +245,21 @@ class TestEvaluate:
             BoundQuery(alpha_star=0.5, beta=1.0)
         with pytest.raises(ValueError):
             BoundQuery(alpha_star=0.5, beta=0.5, n=10)  # k missing
+        for nu in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="nu must be finite and > 0"):
+                BoundQuery(alpha_star=0.5, beta=0.5, nu=nu)
+
+    @pytest.mark.parametrize("nu", [None, LN2])
+    def test_one_bisection_per_query(self, monkeypatch, nu):
+        calls = []
+        real = bounds.optimal_nu
+        monkeypatch.setattr(bounds, "optimal_nu", lambda m: calls.append(m) or real(m))
+        res = evaluate(BoundQuery(alpha_star=0.1, beta=0.5, nu=nu))
+        assert calls == [0.5]
+        assert res.nu_used == (real(0.5) if nu is None else nu)
+
+    def test_default_nu_is_the_rates_nu(self):
+        res = evaluate(BoundQuery(alpha_star=0.3, beta=0.9))
+        assert res.rate_s == mi_asymptotic(0.9, res.nu_used)
+        assert res.coefficient == 0.9 / res.rate_s
+        assert (res.alpha_star, res.beta) == (0.3, 0.9)

@@ -289,6 +289,26 @@ class TestBoundsCommand:
         assert obj["coefficient"] == pytest.approx(0.8105032108421304)
         assert obj["converse"] == pytest.approx(0.4)
 
+    def test_point_key_order(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--alpha-star", "0.1", "--beta", "0.5",
+                           "--n", "1000", "--k", "10")
+        assert code == 0
+        assert list(json.loads(out)) == ["alpha_star", "beta", "coefficient", "converse",
+                                         "rate_s", "rate_nk", "nu_used", "tests",
+                                         "extra_log_term"]
+
+    @pytest.mark.parametrize("nu, code, prefix", [
+        ("nan", 1, "error: nu must be finite and > 0"),
+        ("inf", 1, "error: nu must be finite and > 0"),
+        ("1e6", 2, "numerical failure:"),
+        ("800", 2, "numerical failure:"),
+    ], ids=["nan", "inf", "1e6", "800"])
+    def test_bad_nu_fails_loudly(self, capsys, nu, code, prefix):
+        got, out, err = run(capsys, "bounds", "--alpha-star", "0.1", "--beta", "0.5",
+                            "--nu", nu)
+        assert (got, out) == (code, "")
+        assert err.startswith(prefix) and "Traceback" not in err
+
     def test_grid_csv(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "bounds", "--grid",
                            "0.5,1.0")

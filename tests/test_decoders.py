@@ -519,6 +519,12 @@ class TestThresholdDecoder:
             CandidateFamily.from_members([(0, 1), (0, 1)], n=5)
         with pytest.raises(ValueError):
             CandidateFamily.from_members([(0, 1), (2,)], n=5)
+        with pytest.raises(ValueError, match="non-empty"):
+            CandidateFamily.from_members([], n=5)
+
+    def test_k_is_the_members_size(self):
+        fam = self.family()
+        assert fam.k == 2 and fam == CandidateFamily(fam.sets)
 
     def test_outcome_count_must_match_the_design(self):
         fam = self.family()
@@ -530,6 +536,35 @@ class TestThresholdDecoder:
 
 # The set-by-set and partition-by-partition forms of N_tau, N~ and the
 # threshold decoder, kept as references for the membership-matrix code.
+def _call_entry(entry, design, y, n):
+    """Run decoder entry point ``entry`` on ``design`` and ``y`` with its
+    prior, vector or candidates on ``n`` items."""
+    prior = IsingPrior.uniform(ItemGraph(n, ((0, 1),)), 0.5, 0.1)
+    if entry == "build_model":
+        return build_model(DecoderSpec("ising_map", prior=prior), design, y)
+    if entry == "brute_force_map":
+        return brute_force_map(design, y, prior, NoiseSpec())
+    if entry == "map_score":
+        return map_score(prior, DefectivityVector((0,) * (n - 1) + (1,)), design, y,
+                         NoiseSpec())
+    if entry == "info_density":  # s_dif holds item n - 1, outside a smaller design
+        return info_density(design, y, DefectiveSet((n - 1,), n), DefectiveSet((0,), n), 0.3)
+    family = CandidateFamily.from_members([(0, 1), (1, n - 1)], n)
+    return threshold_decode(family, design, y, d_max=0, p=0.3)
+
+
+@pytest.mark.parametrize("entry", ["build_model", "brute_force_map", "map_score",
+                                   "info_density", "threshold_decode"])
+@pytest.mark.parametrize("n, y, match", [
+    (5, (1, 1), "and design disagree on the item count"),
+    (4, (1, 1, 0), "design and outcomes disagree on the test count"),
+], ids=["items", "tests"])
+def test_entry_points_share_one_size_check(entry, n, y, match):
+    design = design_of([[1, 1, 0, 0], [0, 1, 1, 0]])
+    with pytest.raises(ValueError, match=match):
+        _call_entry(entry, design, OutcomeVector(y), n)
+
+
 def _ref_density_sum(y_arr, hit_eq, tau, p):
     q = (1.0 - p) ** tau
     free = ~hit_eq
