@@ -13,6 +13,7 @@ NumericalError.  Coefficients multiply k*log2(n/k), never folding in 2*log2(k).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -107,7 +108,9 @@ def _nu_residual(nu: float, m: float) -> float:
 def optimal_nu(m: float) -> float:
     """The test-minimizing Bernoulli exponent for fragility level m = max(alpha*, beta):
     the root of H2(exp(-nu m)) = -m * log2(1 - exp(-nu m)), bisected over
-    [1e-6, 50] to |f| < 1e-10 after a runtime check of the bracket's sign change."""
+    [1e-6, 50] until the bracket is a few ulps wide, after a runtime check of
+    the bracket's sign change.  The residual scales like m log(1/m), so no
+    fixed residual threshold serves every m."""
     if not (0.0 < m <= 1.0):
         raise ValueError("m must lie in (0, 1]")
     lo, hi = 1e-6, 50.0
@@ -117,14 +120,13 @@ def optimal_nu(m: float) -> float:
                              f"f({lo})={f_lo}, f({hi})={f_hi}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = _nu_residual(mid, m)
-        if abs(f_mid) < 1e-10:
+        if hi - lo <= 4.0 * sys.float_info.epsilon * hi:
             return mid
-        if f_mid < 0.0:
+        if _nu_residual(mid, m) < 0.0:
             lo = mid
         else:
             hi = mid
-    raise NumericalError("optimal_nu bisection failed to reach |f| < 1e-10")
+    raise NumericalError("optimal_nu bisection failed to narrow its bracket")
 
 
 def achievability_coefficient(alpha_star: float, beta: float,

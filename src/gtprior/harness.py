@@ -170,8 +170,10 @@ _EXACT_AND_RELAXED = [{"family": family, "relaxed": relaxed}
                       for family in ("sparsity", "ising_map") for relaxed in (False, True)]
 
 PRESETS = {
-    # Full-scale protocols (hours with the bundled dense solver; provided
-    # for completeness, not CI).
+    # Full-scale protocols, provided for completeness, not CI.  Noiseless
+    # cells finish at the root; the noisy (rho=0.01) cells keep a full run
+    # at hours: about 10 s per relaxed ising_map LP at t=100, and exact
+    # ILPs that can reach the node limit.
     "full-grid-28": {
         "graph": {"kind": "grid", "rows": 28, "cols": 28},
         "lam": 0.5, "phi": 0.006, "truth_sweeps": 1000,

