@@ -79,13 +79,20 @@ def binary_entropy(lam: float) -> float:
     return -(lam * math.log2(lam) + (1.0 - lam) * math.log2(1.0 - lam))
 
 
+def _h2_exp(z: float) -> float:
+    """H2(exp(-z)) in bits for z >= 0, with log2(exp(-z)) taken as -z/ln 2
+    and 1 - exp(-z) as -expm1(-z), so that a small z keeps its digits."""
+    x, y = math.exp(-z), -math.expm1(-z)
+    return x * z / LN2 - y * math.log2(y) if y > 0.0 else 0.0
+
+
 def mi_asymptotic(alpha: float, nu: float) -> float:
     """I(alpha, nu) = exp(-(1-alpha)*nu) * H2(exp(-alpha*nu)), the large-k
     per-test conditional mutual information in bits."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     _check_nu(nu)
-    return math.exp(-(1.0 - alpha) * nu) * binary_entropy(math.exp(-alpha * nu))
+    return math.exp(-(1.0 - alpha) * nu) * _h2_exp(alpha * nu)
 
 
 def log2_n_tau_default(n: int, k: int, tau: int) -> float:
@@ -101,8 +108,8 @@ def log2_n_tau_default(n: int, k: int, tau: int) -> float:
 
 
 def _nu_residual(nu: float, m: float) -> float:
-    x = math.exp(-nu * m)
-    return binary_entropy(x) + m * math.log2(1.0 - x)
+    z = nu * m
+    return _h2_exp(z) + m * math.log2(-math.expm1(-z))
 
 
 def optimal_nu(m: float) -> float:

@@ -256,12 +256,16 @@ def build_model(spec: DecoderSpec, design: TestDesign, y: OutcomeVector) -> Milp
     nv = xi + t if noisy else xi
     c = np.zeros(nv)
     if ising:
-        c[:n] = 2.0 * prior.phi
-        # np.add.at is unbuffered: a shared endpoint adds its edges' terms in
-        # edge order, so the rounding is fixed.
-        np.add.at(c, edges.ravel(), np.repeat(2.0 * prior.lam, 2))
-        c[n:xi] = -4.0 * prior.lam
-        objective_constant = -ising_objective_offset(prior)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c[:n] = 2.0 * prior.phi
+            # np.add.at is unbuffered: a shared endpoint adds its edges' terms
+            # in edge order, so the rounding is fixed.
+            np.add.at(c, edges.ravel(), np.repeat(2.0 * prior.lam, 2))
+            c[n:xi] = -4.0 * prior.lam
+            objective_constant = -ising_objective_offset(prior)
+        if not (np.isfinite(c).all() and np.isfinite(objective_constant)):
+            raise ValueError("lam and phi are too large: the ising_map objective "
+                             "overflows")
     else:
         c[:n] = 1.0
         objective_constant = 0.0

@@ -23,22 +23,23 @@ Implementation notes and defaults:
   the largest pivot among the ratios within the dual tolerance (Harris).
   After ``10 * (rows + cols)`` iterations both choices go by least index
   (Bland's rule for the dual), so degenerate models still terminate.
-* The simplex is revised: its only dense storage is the transposed basis
-  inverse (rows x rows; above 1 MB in its own anonymous map).  The pivot row
-  is row ``r`` of the inverse times ``[A I]`` (one ``bincount`` over the
-  nonzeros), the entering column is ``B^-1 a_q`` (from a column-major
-  index built once per model), bound flips and new bounds move the basic
-  values by ``B^-1 (A dx)``, and each pivot's rank-1 update touches only
-  the rows of the inverse where its row ``r`` is nonzero.  Entries of the
-  divided row ``r`` below ``_DROP_TOL`` are dropped first: they are
-  roundoff left by exact cancellations (on the noisy decoder LPs every real
-  entry is above 1e-3), and each would cost a row of the update.  The
-  steepest-edge weights follow by recurrence (Forrest & Goldfarb, 1992):
-  ``w_j += c_j (c_j |p|^2 - 2 p . (row j of B^-1))`` with ``p`` the divided
-  row ``r`` and ``c`` the entering column, and ``|p|^2`` for row ``r``
-  itself; no updated row is re-normed.  The noisy ``full-grid-28`` t=100
-  relaxed ``ising_map`` LP (3124 rows) takes about 10 s and 3452 pivots on
-  one core of a 2-vCPU Xeon.
+* The simplex is revised, and ``_Tableau`` alone knows how the basis is
+  stored: its only dense array is the transposed basis inverse (rows x
+  rows; above 1 MB in its own anonymous map).  The pivot row is row ``r``
+  of the inverse times ``[A I]`` (one ``bincount`` over the nonzeros), the
+  entering column is ``B^-1 a_q`` (from a column-major index built once per
+  model), and bound flips and new bounds move the basic values by ``B^-1
+  (A dx)`` on one path (``_Tableau.set_bounds``).  ``_Tableau.pivot`` makes
+  every basis change: reduced costs, basic values, the basis swap, and a
+  rank-1 update that touches only the rows of the inverse where its row
+  ``r`` is nonzero.  Entries of the divided row ``r`` below 1e-13 are
+  dropped first: they are roundoff left by exact cancellations (on the
+  noisy decoder LPs every real entry is above 1e-3), and each would cost a
+  row of the update.  The steepest-edge weights follow by recurrence
+  (Forrest & Goldfarb, 1992); no updated row is re-normed.  The simplex
+  loop only prices and runs the ratio test.  The noisy ``full-grid-28``
+  t=100 relaxed ``ising_map`` LP (3124 rows) takes about 10 s and 3452
+  pivots on one core of a 2-vCPU Xeon.
 * An ``infeasible`` answer is certified: the row the dual simplex could not
   repair is aggregated again from the original rows with its row of the
   basis inverse, and its least (or greatest) value over the bounds, each
@@ -366,6 +367,8 @@ class _Tableau:
     so the slack basis, and a basis that was optimal at other bounds, are
     dual feasible.  The one dense array is ``binv_t``, the transposed basis
     inverse (m x m): row ``k`` is ``B^-1 e_k``, column ``r`` row ``r`` of it.
+    Nothing outside this class reads it: :meth:`pivot` makes every basis
+    change and :meth:`set_bounds` every move of the nonbasic columns.
     """
 
     def __init__(self, model: MilpModel, lo, hi, start=None):
@@ -450,12 +453,15 @@ class _Tableau:
         """The ``(basis, at_upper)`` pair that rebuilds this basis."""
         return self.basis.copy(), self.at_upper.copy()
 
-    def set_bounds(self, lo, hi) -> None:
-        """Move to the structural bounds ``lo``, ``hi``.  A nonbasic column
-        moves with its bound; a basic one may leave its bounds, which the
-        dual simplex then repairs."""
+    def set_bounds(self, lo, hi, flip=None) -> None:
+        """Move to the bounds ``lo``, ``hi`` (structural, or over all n + m
+        columns) with the nonbasic columns ``flip``, if any, at their other
+        bound.  The basic values follow the nonbasic columns that move; a
+        basic one may leave its bounds, which the dual simplex then repairs."""
         old = self._nonbasic_values()
         self.lo[:lo.size], self.hi[:hi.size] = lo, hi
+        if flip is not None:
+            self.at_upper[flip] = ~self.at_upper[flip]
         self.move(self._nonbasic_values() - old)
 
     def point(self) -> np.ndarray:
@@ -463,6 +469,56 @@ class _Tableau:
         x = np.where(self.at_upper, self.hi, self.lo)
         x[self.basis] = self.x_b
         return x[:self.model.num_vars]
+
+    def pivot(self, r: int, q: int, alpha, to_lower: bool) -> None:
+        """Column ``q`` enters the basis at row ``r``, whose basic variable
+        leaves at its lower (``to_lower``) or upper bound; ``alpha`` is
+        tableau row ``r``.  Updates the reduced costs, the basic values, the
+        basis, its inverse and the steepest-edge weights."""
+        d, x_b, binv_t, weights = self.d, self.x_b, self.binv_t, self.weights
+        lo, hi, at_upper, basis = self.lo, self.hi, self.at_upper, self.basis
+        piv = alpha[q]
+        if (d[q] < 0) != at_upper[q]:
+            d[q] = 0.0  # drop a reduced cost within the tolerance of the wrong sign
+        d -= (d[q] / piv) * alpha
+        d[q] = 0.0
+        p = basis[r]
+        theta = (x_b[r] - (lo[p] if to_lower else hi[p])) / piv
+        enter = (hi[q] if at_upper[q] else lo[q]) + theta
+        col = self.column(q)
+        x_b -= theta * col
+        x_b[r] = enter
+        at_upper[p], at_upper[q] = not to_lower, False
+        self.in_basis[p], self.in_basis[q] = False, True
+        basis[r] = q
+        prow = binv_t[:, r]  # row r of the basis inverse
+        prow /= piv
+        # Exact cancellations leave roundoff far below any real entry; drop
+        # it, so that the update below skips the rows it would touch.
+        prow[np.abs(prow) < _DROP_TOL] = 0.0
+        col[r] = 0.0
+        # Rank-1 update of the rows where row r of the inverse is nonzero
+        # (any other would have +-0 subtracted), a slice at a time to keep
+        # temporaries small.  The steepest-edge weights follow by the
+        # recurrence w_j += c_j (c_j |p|^2 - 2 p . (row j of B^-1)), with p
+        # the divided row r and c the entering column, the products taken
+        # before each slice is updated.  Row r's own weight is |p|^2, exact:
+        # w_r / piv^2 would carry w_r's accumulated error along.
+        rows = prow.nonzero()[0]
+        vals = prow[rows]
+        dots = np.zeros(basis.size)
+        slice_rows = max(1, _SLICE_BYTES // (8 * basis.size))
+        for first in range(0, rows.size, slice_rows):
+            part, p_part = rows[first:first + slice_rows], vals[first:first + slice_rows]
+            block = binv_t[part]
+            dots += np.einsum("i,ij->j", p_part, block)
+            block -= np.multiply.outer(p_part, col)
+            binv_t[part] = block
+        norm2 = np.einsum("i,i->", vals, vals)
+        weights += col * (col * norm2 - 2.0 * dots)
+        weights[r] = norm2
+        np.maximum(weights, _WEIGHT_FLOOR, out=weights)
+        self.pivots += 1
 
     def certify_infeasible(self, r: int, to_lower: bool) -> None:
         """Raise NumericalError unless tableau row ``r``, whose basic
@@ -493,25 +549,22 @@ class _Tableau:
             raise NumericalError("infeasibility certificate failed its re-check")
 
 
-def _simplex(tab: _Tableau):
-    """Bounded dual simplex from ``tab``'s dual feasible basis, updating
-    ``tab`` in place.
-
-    Returns (status, x) with status in {optimal, infeasible}; an infeasible
-    answer has passed ``tab.certify_infeasible``.
-    """
-    binv_t, basis, d, weights, x_b = tab.binv_t, tab.basis, tab.d, tab.weights, tab.x_b
+def _solve_node(tab: _Tableau) -> MilpSolution:
+    """Bounded dual simplex over ``tab``'s model rows at its bounds, from its
+    dual feasible basis, updating ``tab`` in place.  An optimal point has
+    passed the feasibility re-check against the model, an infeasible answer
+    ``tab.certify_infeasible``."""
+    basis, d, weights, x_b = tab.basis, tab.d, tab.weights, tab.x_b
     lo, hi, at_upper, in_basis = tab.lo, tab.hi, tab.at_upper, tab.in_basis
     m, total = basis.size, lo.size
     movable = lo < hi  # a fixed column never enters
-    slice_rows = max(1, _SLICE_BYTES // (8 * m)) if m else 1
     bland_after = 10 * (m + total)
     max_iter = 200 * (m + total) + 20000
-    iters = 0
+    before = tab.pivots
     while m:
-        lb, ub = lo[basis], hi[basis]
-        below = lb - x_b
-        viol = np.maximum(below, x_b - ub)
+        iters = tab.pivots - before
+        below = lo[basis] - x_b
+        viol = np.maximum(below, x_b - hi[basis])
         bland = iters > bland_after
         if bland:
             rows = np.flatnonzero(viol > _PRIMAL_TOL)
@@ -534,93 +587,36 @@ def _simplex(tab: _Tableau):
         if not to_lower:
             np.negative(gain, out=gain)
         cand = np.flatnonzero(movable & ~in_basis & (gain > _PIVOT_TOL))
-        if not cand.size:
-            tab.certify_infeasible(r, to_lower)
-            return "infeasible", None
         # Dual ratio test: the entering column's reduced cost reaches 0 first.
         step = np.where(at_upper[cand], -d[cand], d[cand])
         g = gain[cand]
+        ratio = np.maximum(step, 0.0) / g
+        # Bound flipping (never under Bland's rule): pass every breakpoint
+        # whose column can flip to its other bound while the leaving variable
+        # stays out of bounds.  No candidate, or none left, proves the rows
+        # infeasible.
+        order = np.argsort(ratio, kind="stable")
+        room = np.cumsum(g[order] * (hi - lo)[cand[order]])
+        k = 0 if bland else int(np.searchsorted(room, viol[r] - _PRIMAL_TOL))
+        if k == cand.size:
+            tab.certify_infeasible(r, to_lower)
+            return MilpSolution("infeasible", None, None, pivots=tab.pivots - before)
         if bland:
-            ratio = np.maximum(step, 0.0) / g
             q = int(cand[np.flatnonzero(ratio <= ratio.min() + 1e-12)[0]])
         else:
-            # Bound flipping: pass every breakpoint whose column can flip to
-            # its other bound while the leaving variable stays out of
-            # bounds.  Then Harris among the rest: the largest pivot within
-            # the tolerance-widened least ratio.
-            order = np.argsort(np.maximum(step, 0.0) / g, kind="stable")
-            room = np.cumsum(g[order] * (hi - lo)[cand[order]])
-            k = int(np.searchsorted(room, viol[r] - _PRIMAL_TOL))
-            if k == order.size:
-                tab.certify_infeasible(r, to_lower)
-                return "infeasible", None
+            # Harris among the rest: the largest pivot within the
+            # tolerance-widened least ratio.
             rest = order[k:]
             ok = step[rest] / g[rest] <= ((step[rest] + _DUAL_TOL) / g[rest]).min()
             q = int(cand[rest[ok][np.argmax(g[rest[ok]])]])
-            flip = cand[order[:k]]
-            if flip.size:
-                old = tab._nonbasic_values()
-                at_upper[flip] = ~at_upper[flip]
-                tab.move(tab._nonbasic_values() - old)
-        piv = alpha[q]
-        if (d[q] < 0) != at_upper[q]:
-            d[q] = 0.0  # drop a reduced cost within the tolerance of the wrong sign
-        d -= (d[q] / piv) * alpha
-        d[q] = 0.0
-        p = basis[r]
-        theta = (x_b[r] - (lb[r] if to_lower else ub[r])) / piv
-        enter = (hi[q] if at_upper[q] else lo[q]) + theta
-        col = tab.column(q)
-        x_b -= theta * col
-        x_b[r] = enter
-        at_upper[p], at_upper[q] = not to_lower, False
-        in_basis[p], in_basis[q] = False, True
-        basis[r] = q
-        prow = binv_t[:, r]  # row r of the basis inverse
-        prow /= piv
-        # Exact cancellations leave roundoff far below any real entry; drop
-        # it, so that the update below skips the rows it would touch.
-        prow[np.abs(prow) < _DROP_TOL] = 0.0
-        col[r] = 0.0
-        # Rank-1 update of the rows where row r of the inverse is nonzero
-        # (any other would have +-0 subtracted), a slice at a time to keep
-        # temporaries small.  The steepest-edge weights follow by the
-        # recurrence w_j += c_j (c_j |p|^2 - 2 p . (row j of B^-1)), with p
-        # the divided row r and c the entering column, the products taken
-        # before each slice is updated.  Row r's own weight is |p|^2, exact:
-        # w_r / piv^2 would carry w_r's accumulated error along.
-        rows = prow.nonzero()[0]
-        vals = prow[rows]
-        dots = np.zeros(m)
-        for first in range(0, rows.size, slice_rows):
-            part, p_part = rows[first:first + slice_rows], vals[first:first + slice_rows]
-            block = binv_t[part]
-            dots += np.einsum("i,ij->j", p_part, block)
-            block -= np.multiply.outer(p_part, col)
-            binv_t[part] = block
-        norm2 = np.einsum("i,i->", vals, vals)
-        weights += col * (col * norm2 - 2.0 * dots)
-        weights[r] = norm2
-        np.maximum(weights, _WEIGHT_FLOOR, out=weights)
-        iters += 1
-        tab.pivots += 1
-    return "optimal", tab.point()
-
-
-def _solve_node(tab: _Tableau) -> MilpSolution:
-    """The LP over ``tab``'s model rows at ``tab``'s bounds, from its basis;
-    an optimal point has passed the feasibility re-check against the
-    model."""
-    before = tab.pivots
-    status, x = _simplex(tab)
-    pivots = tab.pivots - before
-    if status != "optimal":
-        return MilpSolution(status, None, None, pivots=pivots)
-    model = tab.model
+            if k:
+                tab.set_bounds(lo, hi, cand[order[:k]])
+        tab.pivot(r, q, alpha, to_lower)
+    model, x = tab.model, tab.point()
     if feasibility_violation(model, x) > FEASIBILITY_TOL:
         raise NumericalError("optimal LP solution failed the feasibility re-check")
     return MilpSolution("optimal", x, float(model.objective @ x) + model.objective_constant,
-                        pivots=pivots)
+                        pivots=tab.pivots - before)
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,23 @@ class TestOptimalNu:
         # short at m = 1e-9 (0.952149 against 0.954066).
         assert optimal_nu(m) == pytest.approx(self.bisected(m), rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("m", [1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+    def test_tiny_m_brackets_and_bisects(self, m):
+        # exp(-1e-6 m) rounds to 1 below m of about 1.1e-10, so 1 - exp was 0
+        # and its log2 a math domain error.
+        assert _nu_residual(1e-6, m) < 0.0 < _nu_residual(50.0, m)
+        nu = optimal_nu(m)
+        assert math.isfinite(nu) and 0.9 < nu < 1.0
+        assert _nu_residual(nu * (1 - 1e-12), m) < 0.0 < _nu_residual(nu * (1 + 1e-12), m)
+
+    @pytest.mark.parametrize("m, want", [(1e-12, 0.9651161103043251),
+                                         (1e-9, 0.9540658364468281),
+                                         (1e-4, 0.9030734988082324)])
+    def test_small_m_matches_a_50_digit_root(self, m, want):
+        # Roots of the residual taken with mpmath at 50 digits; 1 - exp(-z)
+        # lost 4e-13 relative at m = 1e-4 and 5e-8 at m = 1e-9.
+        assert optimal_nu(m) == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_residuals_small(self):
         for m in (0.1, 0.3, 0.5, 0.8, 1.0):
             nu = optimal_nu(m)
@@ -177,10 +194,17 @@ class TestAchievability:
             coef, _ = achievability_coefficient(a, b, nu=nu)
             assert coef == b / mi_asymptotic(max(a, b), nu)
 
-    @pytest.mark.parametrize("nu", [800.0, 1e6, 1e-300])
+    @pytest.mark.parametrize("nu", [800.0, 1e6, 1e-315])
     def test_underflow_of_mi_is_numerical_error(self, nu):
         with pytest.raises(NumericalError, match="too small for a finite beta / I"):
             achievability_coefficient(0.1, 0.5, nu=nu)
+
+    def test_tiny_nu_keeps_its_digits(self):
+        # exp(-z) rounds to 1 here, so 1 - exp(-z) made I exactly 0; as z ->
+        # 0, H2(exp(-z)) -> z (1 + ln(1/z)) / ln 2.
+        z = 0.5e-300
+        coef, _ = achievability_coefficient(0.1, 0.5, nu=1e-300)
+        assert coef == pytest.approx(0.5 * LN2 / (z * (1.0 - math.log(z))), rel=1e-14)
 
 
 class TestConverse:

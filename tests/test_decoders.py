@@ -258,6 +258,18 @@ class TestModelLayout:
         with pytest.raises(ValueError, match="item count"):
             build_model(spec, design_of([[1, 1, 0, 0], [0, 1, 1, 0]]), self.y)
 
+    @pytest.mark.parametrize("lam, phi, n", [(1e308, 0.1, 3), (0.1, 1e308, 3),
+                                             (-1e308, 1e308, 3), (4e307, 0.1, 6)])
+    def test_overflowing_objective_is_one_error(self, lam, phi, n):
+        # On the 6-item path only sum lam, in the objective constant,
+        # overflows.  A numpy overflow warning would fail here: the suite
+        # makes it an error.
+        graph = self.prior.graph if n == 3 else build_grid(1, n)
+        prior = IsingPrior.uniform(graph, lam, phi)
+        design = design_of([[1] * n, [0] * n])
+        with pytest.raises(ValueError, match="lam and phi are too large"):
+            build_model(DecoderSpec("ising_map", prior=prior), design, self.y)
+
     def test_largest_full_grid_28_build_stays_small(self):
         # The noisy ising_map model at t=500 is 3524x2796 with about 11k
         # nonzeros; as a dense matrix it alone would take 79 MB.

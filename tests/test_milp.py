@@ -75,8 +75,7 @@ class TestSolveLp:
         assert s.objective_value == pytest.approx(1.0)
 
     def test_nan_point_fails_the_recheck(self, monkeypatch):
-        monkeypatch.setattr(milp, "_simplex",
-                            lambda *args: ("optimal", np.array([np.nan, 0.0])))
+        monkeypatch.setattr(milp._Tableau, "point", lambda self: np.array([np.nan, 0.0]))
         with pytest.raises(NumericalError):
             solve_lp(model([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0]))
 
@@ -118,8 +117,7 @@ class TestSolveIlp:
         assert s.status == "node_limit"
 
     def test_nan_node_point_fails_the_recheck(self, monkeypatch):
-        monkeypatch.setattr(milp, "_simplex",
-                            lambda *args: ("optimal", np.array([np.nan, 0.0])))
+        monkeypatch.setattr(milp._Tableau, "point", lambda self: np.array([np.nan, 0.0]))
         with pytest.raises(NumericalError):
             solve_ilp(model([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], integer=True))
 
@@ -334,26 +332,19 @@ class PivotChecked(milp._Tableau):
     ``dropped`` counts its pivots whose row lost an entry to it."""
 
     dropped = 0
-    last = None  # (row, its nonzeros before the pivot, pivots before it)
 
-    def check_last_pivot(self):
-        if self.last is not None and self.pivots == self.last[2] + 1:
-            prow = self.binv_t[:, self.last[0]]
-            assert not ((prow != 0) & (np.abs(prow) < milp._DROP_TOL)).any()
-            self.dropped += np.count_nonzero(prow) < self.last[1]
-        self.last = None
-
-    def row(self, r):
-        self.check_last_pivot()
-        self.last = r, np.count_nonzero(self.binv_t[:, r]), self.pivots
-        return super().row(r)
+    def pivot(self, r, q, alpha, to_lower):
+        before = np.count_nonzero(self.binv_t[:, r])
+        super().pivot(r, q, alpha, to_lower)
+        prow = self.binv_t[:, r]
+        assert not ((prow != 0) & (np.abs(prow) < milp._DROP_TOL)).any()
+        self.dropped += np.count_nonzero(prow) < before
 
 
 def assert_update_invariants(tab):
     """The stored inverse times every basic column is the identity within
-    1e-9, each steepest-edge weight is its row's squared norm within 1e-8
-    relative, and the last pivot left its row free of roundoff."""
-    tab.check_last_pivot()
+    1e-9 and each steepest-edge weight is its row's squared norm within 1e-8
+    relative."""
     m = tab.model.num_rows
     eye = np.array([tab.column(q) for q in tab.basis]).reshape(m, m).T
     assert np.abs(eye - np.eye(m)).max(initial=0.0) <= 1e-9
@@ -394,9 +385,8 @@ class TestPivotUpdate:
         solved = []
 
         def checked(tab):
-            before = tab.pivots
             sol = solve_node(tab)
-            solved.append(tab.pivots - before)
+            solved.append(sol.pivots)
             assert_update_invariants(tab)
             return sol
 
@@ -511,7 +501,7 @@ class TestWarmStarts:
         tab = milp._Tableau(m, m.lower, m.upper)
         tab.binv_t[:, 0] *= -1.0
         with pytest.raises(NumericalError, match="certificate"):
-            milp._simplex(tab)
+            milp._solve_node(tab)
 
 
 class TestTableauConstruction:
@@ -531,14 +521,14 @@ class TestTableauConstruction:
         for trial in range(count):
             m = cls.fuzzed(rng, trial)
             tab = milp._Tableau(m, m.lower, m.upper)
-            if milp._simplex(tab)[0] == "optimal":
+            if milp._solve_node(tab).status == "optimal":
                 yield tab
                 n = m.num_vars
                 j = int(rng.integers(n))
                 lo, hi = tab.lo[:n].copy(), tab.hi[:n].copy()
                 lo[j] = hi[j] = lo[j] if rng.random() < 0.5 else hi[j]
                 tab.set_bounds(lo, hi)
-                milp._simplex(tab)
+                milp._solve_node(tab)
             yield tab
 
     def test_kept_basis_reproduces_the_live_tableau(self):
